@@ -8,9 +8,10 @@ GO ?= go
 # performance changes.
 BENCHTIME ?= 2x
 BENCHCOUNT ?= 5
+BENCHLAYERTIME ?= 200x
 BENCHFLAGS = -run='^$$' -bench=. -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) .
 
-.PHONY: all build vet fmt-check lint lint-new lint-baseline test race race-hammer short bench bench-baseline bench-check check cover chaos assess frontier
+.PHONY: all build vet fmt-check lint lint-new lint-baseline test race race-hammer short bench bench-layers bench-baseline bench-check check cover chaos assess frontier
 
 all: check
 
@@ -88,6 +89,14 @@ chaos:
 bench:
 	$(GO) test $(BENCHFLAGS) | tee bench.txt
 	$(GO) run ./cmd/pbbench run -input bench.txt -rev ci -out BENCH_ci.json
+
+# bench-layers runs the per-layer package benchmarks under
+# internal/sim/cache (BenchmarkPrewarm, in blocks/s) at a pinned
+# iteration count into bench-layers.txt. No gate reads it, but a
+# failing benchmark still fails the target.
+bench-layers:
+	$(GO) test -run='^$$' -bench=. -benchtime=$(BENCHLAYERTIME) -count=$(BENCHCOUNT) ./internal/sim/cache/... > bench-layers.txt; \
+		status=$$?; cat bench-layers.txt; exit $$status
 
 # bench-baseline refreshes the committed baseline trajectory. Only run
 # it after an intentional, explained performance change, on the same

@@ -6,7 +6,10 @@
 // block.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Replacement selects the victim-choice policy of a set.
 type Replacement int
@@ -87,7 +90,15 @@ type Cache struct {
 	policy    Replacement
 	rng       uint64 // xorshift state for Random policy
 	stats     Stats
+	// While clock == sweptAt, every resident block lies in
+	// [sweptLo, sweptHi]: all fills since the cache was new or flushed
+	// came from sweeps, and no Access has run since. sweptAt == 0
+	// marks no such bound.
+	sweptLo, sweptHi, sweptAt uint64
 }
+
+// rngSeed is the xorshift state of a new (or flushed) cache.
+const rngSeed = 0x9e3779b97f4a7c15
 
 // New builds a cache from the configuration. Size must be a positive
 // multiple of BlockBytes, and BlockBytes a power of two; Assoc must
@@ -125,7 +136,7 @@ func New(cfg Config) (*Cache, error) {
 		setMask:   uint64(sets - 1),
 		lines:     make([]line, sets*assoc),
 		policy:    cfg.Policy,
-		rng:       0x9e3779b97f4a7c15,
+		rng:       rngSeed,
 	}, nil
 }
 
@@ -216,11 +227,157 @@ func (c *Cache) fill(set []line, block uint64) {
 	set[victim] = line{tag: block, meta: c.clock} // LRU: last use; FIFO: arrival time
 }
 
-// Flush invalidates every line and clears statistics.
+// Flush invalidates every line and clears statistics, returning the
+// cache to the state New built: a flushed Random cache picks the same
+// victims as a new one.
 func (c *Cache) Flush() {
 	for i := range c.lines {
 		c.lines[i] = line{}
 	}
 	c.clock = 0
+	c.rng = rngSeed
 	c.stats = Stats{}
+	c.sweptAt = 0
+}
+
+// sweepable reports whether sweep may stand in for the walk over
+// [start, end) with block numbers addr>>shift: the policy must not
+// draw random victims, and no block of the range may be resident,
+// which holds for a new or flushed cache (clock 0) and for one whose
+// swept bound the range misses.
+func (c *Cache) sweepable(shift uint, start, end uint64) bool {
+	if c.policy == Random {
+		return false
+	}
+	if c.clock == 0 {
+		return true
+	}
+	return c.clock == c.sweptAt && ((end-1)>>shift < c.sweptLo || start>>shift > c.sweptHi)
+}
+
+// sweep leaves the cache exactly as the walk does when it probes
+// every walk point of [start, end) -- start itself, then each multiple
+// of step above it and below end -- with block numbers addr>>shift,
+// and requires sweepable. Every block is new to the cache, so the
+// first probe of a block misses and fills; the repeats that follow
+// inside the same block only advance the clock and, under LRU,
+// restamp the line just filled.
+//
+// The probes fall into visits, one per block: the visit to start's
+// block first, which can sit off the lattice and may also hold lattice
+// points, then lattice visits, whose blocks are 1<<dn apart and which
+// hold per probes each except the last. Lattice visits period apart
+// map to the same set and the period visits between them to distinct
+// sets, so each set's fills are known without replaying them. A set
+// that held nothing before its first lattice fill takes its j-th fill
+// in way j mod ways, so only its last ways fills are written. Any other set is replayed
+// through fill, after dropping whole rounds of ways fills but keeping
+// at least one: its victims follow a fixed cycle over its ways, so
+// neither the way any later fill takes nor the final contents change.
+// The work is thus bounded by the cache's capacity, not by the size
+// of the range; the clock still counts every probe, so every stamp
+// matches the walk.
+//
+//pbcheck:hotpath
+func (c *Cache) sweep(shift uint, step, start, end uint64) {
+	sb := uint(bits.TrailingZeros64(step))
+	// Lattice index k (address k*step) lies in visit k>>up, whose
+	// block is (k>>up)<<dn.
+	var up, dn uint
+	if shift > sb {
+		up = shift - sb
+	} else {
+		dn = sb - shift
+	}
+	per := uint64(1) << up
+	lo, hi := start>>shift, (end-1)>>shift
+	k, kL := start>>sb+1, (end-1)>>sb
+	clk := c.clock
+	if clk == 0 {
+		c.sweptLo, c.sweptHi = lo, hi
+	} else {
+		c.sweptLo, c.sweptHi = min(c.sweptLo, lo), max(c.sweptHi, hi)
+	}
+	n := uint64(1)
+	if k <= kL && (k>>up)<<dn == lo {
+		last := min(kL, (lo+1)<<up-1)
+		n += last - k + 1
+		k = last + 1
+	}
+	c.place(lo, clk+1, clk+n)
+	clk += n
+	if k <= kL {
+		g0, gL := k>>up, kL>>up
+		m := gL - g0 + 1
+		tail := kL - gL<<up + 1 // probes of the last visit
+		period := max(uint64(c.sets)>>dn, 1)
+		ways := uint64(c.ways)
+		for r := uint64(0); r < min(period, m); r++ {
+			f := (m - r + period - 1) / period // lattice fills of this set
+			base := int(((g0+r)<<dn)&c.setMask) * c.ways
+			set := c.lines[base : base+c.ways]
+			if empty(set) {
+				for i := f - min(f, ways); i < f; i++ {
+					g := g0 + r + i*period
+					set[i%ways] = line{tag: g << dn, meta: c.stamp(g-g0, g == gL, clk, per, tail)}
+				}
+				continue
+			}
+			i := uint64(0)
+			if f >= ways {
+				i = (f/ways - 1) * ways
+			}
+			for ; i < f; i++ {
+				g := g0 + r + i*period
+				c.clock = c.stamp(g-g0, g == gL, clk, per, tail)
+				c.fill(set, g<<dn)
+			}
+		}
+		clk += kL - k + 1
+	}
+	c.clock = clk
+	c.sweptAt = clk
+}
+
+// stamp is the stamp the walk leaves on the line of lattice visit v
+// (counted from the first lattice visit) when the lattice starts
+// after clock clk: every visit before it holds per probes, and the
+// last visit holds tail.
+//
+//pbcheck:hotpath
+func (c *Cache) stamp(v uint64, last bool, clk, per, tail uint64) uint64 {
+	first := clk + v*per + 1
+	if c.policy != LRU {
+		return first // FIFO: arrival time
+	}
+	if last {
+		return first + tail - 1
+	}
+	return first + per - 1
+}
+
+// empty reports whether no way of the set holds a line.
+//
+//pbcheck:hotpath
+func empty(set []line) bool {
+	for _, ln := range set {
+		if ln.meta != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// place fills block into its set as the miss of a visit whose probes
+// ran from clock first to clock last: the line carries first under
+// FIFO and last under LRU.
+//
+//pbcheck:hotpath
+func (c *Cache) place(block, first, last uint64) {
+	c.clock = first
+	if c.policy == LRU {
+		c.clock = last
+	}
+	base := int(block&c.setMask) * c.ways
+	c.fill(c.lines[base:base+c.ways], block)
 }

@@ -175,6 +175,26 @@ func TestFlush(t *testing.T) {
 	}
 }
 
+// TestFlushReplaysLikeNew: after Flush, a Random cache must pick the
+// same victims as a new one, so replaying one access stream leaves
+// both in the same state.
+func TestFlushReplaysLikeNew(t *testing.T) {
+	cfg := Config{SizeBytes: 512, Assoc: 4, BlockBytes: 16, Policy: Random}
+	replay := func(c *Cache) {
+		for i := uint64(0); i < 200; i++ {
+			c.Access(i * 48 % 4096)
+		}
+	}
+	flushed, fresh := mustCache(t, cfg), mustCache(t, cfg)
+	replay(flushed)
+	flushed.Flush()
+	replay(flushed)
+	replay(fresh)
+	if err := sameCache(flushed, fresh); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestTLB(t *testing.T) {
 	tlb, err := NewTLB(32, 2, 4096)
 	if err != nil {

@@ -89,10 +89,11 @@ func (h *Hierarchy) dramLatency(t int64) int64 {
 	return t + transfer
 }
 
-// PrewarmData walks [start, start+size) through the data-side
-// hierarchy (DTLB, L1D, L2) without charging any time, emulating the
-// functional-warming phase of a long simulation: the measured phase
-// then observes steady-state rather than compulsory misses.
+// PrewarmData leaves the data-side hierarchy (DTLB, L1D, L2) as a
+// sequential walk of [start, start+size) would, without charging any
+// time, emulating the functional-warming phase of a long simulation:
+// the measured phase then observes steady-state rather than
+// compulsory misses.
 // Statistics are not affected. Where a structure is smaller than the
 // range, the tail of the range stays resident (LRU order), as after a
 // sequential lap of the working set.
@@ -105,8 +106,38 @@ func (h *Hierarchy) PrewarmCode(start, size uint64) {
 	h.prewarm(h.L1I, h.ITLB, start, size)
 }
 
-// prewarm performs the sequential warming lap. The walk advances one
-// L1 block (and, for the TLB, one page) at a time instead of probing
+// prewarm performs the sequential warming lap. Where every structure
+// it touches is sweepable, sweep builds each one directly, leaving the
+// state walk would leave at a cost bounded by the structure's size:
+// the lap touches every L1 block and every page once, so each L1 and
+// TLB probe misses and L2 sees every walk point. Otherwise prewarm
+// runs walk itself.
+//
+//pbcheck:hotpath
+func (h *Hierarchy) prewarm(l1 *Cache, tlb *TLB, start, size uint64) {
+	end := start + size
+	if end <= start {
+		return // empty, or wraps the address space: the walk touches nothing
+	}
+	if l1 == h.L2 || !l1.sweepable(l1.blockBits, start, end) ||
+		!h.L2.sweepable(h.L2.blockBits, start, end) || !tlb.cache.sweepable(tlb.pageBits, start, end) {
+		h.walk(l1, tlb, start, size)
+		return
+	}
+	step := walkStep(uint64(l1.BlockBytes()))
+	l1.sweep(l1.blockBits, step, start, end)
+	h.L2.sweep(h.L2.blockBits, step, start, end)
+	tlb.cache.sweep(tlb.pageBits, walkStep(tlb.PageBytes()), start, end)
+}
+
+// walkStep is the stride of the walk over structures of the given
+// block or page size: one probe per block, at least 16 bytes apart.
+func walkStep(blockBytes uint64) uint64 {
+	return max(blockBytes, 16)
+}
+
+// walk is the reference lap that sweep reproduces. It advances one L1
+// block (and, for the TLB, one page) at a time instead of probing
 // every 16-byte chunk: within a sequential lap, intra-block repeat
 // accesses always hit the line just filled and only refresh its own
 // recency stamp, so skipping them leaves the final tag contents,
@@ -114,17 +145,13 @@ func (h *Hierarchy) PrewarmCode(start, size uint64) {
 // bit-identical to the fine-grained walk at a small fraction of the
 // probes. (The stride never exceeds a block, so no block in the range
 // is skipped regardless of alignment; the sub-16-byte guard keeps the
-// historical 16-byte floor for degenerate block sizes.)
-//
-//pbcheck:hotpath
-func (h *Hierarchy) prewarm(l1 *Cache, tlb *TLB, start, size uint64) {
+// historical 16-byte floor for degenerate block sizes.) Statistics and
+// the DRAM counter are left as they were.
+func (h *Hierarchy) walk(l1 *Cache, tlb *TLB, start, size uint64) {
 	dram := h.DRAMAccesses
 	l1s, l2s, tlbs := l1.stats, h.L2.stats, tlb.cache.stats
 	end := start + size
-	step := uint64(l1.BlockBytes())
-	if step < 16 {
-		step = 16
-	}
+	step := walkStep(uint64(l1.BlockBytes()))
 	for addr := start; addr < end; {
 		if !l1.Access(addr) {
 			h.L2.Access(addr)
@@ -135,10 +162,7 @@ func (h *Hierarchy) prewarm(l1 *Cache, tlb *TLB, start, size uint64) {
 		}
 		addr = next
 	}
-	pstep := tlb.PageBytes()
-	if pstep < 16 {
-		pstep = 16
-	}
+	pstep := walkStep(tlb.PageBytes())
 	for addr := start; addr < end; {
 		tlb.Access(addr)
 		next := (addr/pstep + 1) * pstep

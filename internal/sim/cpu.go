@@ -205,6 +205,9 @@ func (c *CPU) PrewarmMemory() {
 	c.hier.PrewarmData(trace.DataBase, p.WorkingSetBytes)
 }
 
+// Hierarchy returns the CPU's memory hierarchy.
+func (c *CPU) Hierarchy() *cache.Hierarchy { return c.hier }
+
 // WarmFunctional consumes n instructions from the stream, training the
 // branch predictor, BTB, RAS, caches and TLBs exactly as detailed
 // execution would — but without advancing the pipeline or charging

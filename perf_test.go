@@ -67,3 +67,33 @@ func TestSimulatorStepZeroAllocs(t *testing.T) {
 		t.Errorf("simulator steady-state step allocates %.1f objects/op, want 0", allocs)
 	}
 }
+
+// TestPrewarmMemoryZeroAllocs pins memory prewarming, which every
+// design row and every sampled region group runs once on a fresh CPU.
+func TestPrewarmMemoryZeroAllocs(t *testing.T) {
+	w, err := workload.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := w.NewGenerator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// AllocsPerRun calls the function runs+1 times; each call warms a
+	// CPU of its own so every call takes the fresh-hierarchy path.
+	const runs = 4
+	cpus := make([]*sim.CPU, runs+1)
+	for i := range cpus {
+		if cpus[i], err = sim.New(sim.Default(), gen, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		cpus[next].PrewarmMemory()
+		next++
+	})
+	if !stats.ApproxEqual(allocs, 0, 0) {
+		t.Errorf("PrewarmMemory allocates %.1f objects/op, want 0", allocs)
+	}
+}
