@@ -8,7 +8,6 @@ GO ?= go
 # performance changes.
 BENCHTIME ?= 2x
 BENCHCOUNT ?= 5
-BENCHLAYERTIME ?= 200x
 BENCHFLAGS = -run='^$$' -bench=. -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) .
 
 .PHONY: all build vet fmt-check lint lint-new lint-baseline test race race-hammer short bench bench-layers bench-baseline bench-check check cover chaos assess frontier
@@ -95,7 +94,7 @@ bench:
 # iteration count into bench-layers.txt. No gate reads it, but a
 # failing benchmark still fails the target.
 bench-layers:
-	$(GO) test -run='^$$' -bench=. -benchtime=$(BENCHLAYERTIME) -count=$(BENCHCOUNT) ./internal/sim/cache/... > bench-layers.txt; \
+	$(GO) test -run='^$$' -bench=. -benchtime=200x -count=$(BENCHCOUNT) ./internal/sim/cache/... > bench-layers.txt; \
 		status=$$?; cat bench-layers.txt; exit $$status
 
 # bench-baseline refreshes the committed baseline trajectory. Only run

@@ -268,12 +268,15 @@ func (c *Cache) sweepable(shift uint, start, end uint64) bool {
 // points, then lattice visits, whose blocks are 1<<dn apart and which
 // hold per probes each except the last. Lattice visits period apart
 // map to the same set and the period visits between them to distinct
-// sets, so each set's fills are known without replaying them. A set
-// that held nothing before its first lattice fill takes its j-th fill
-// in way j mod ways, so only its last ways fills are written. Any other set is replayed
-// through fill, after dropping whole rounds of ways fills but keeping
-// at least one: its victims follow a fixed cycle over its ways, so
-// neither the way any later fill takes nor the final contents change.
+// sets, so each set's fills are known without replaying them. Any set
+// is replayed through fill, after dropping whole rounds of ways fills
+// but keeping at least one: its victims follow a fixed cycle over its
+// ways, so neither the way any later fill takes nor the final contents
+// change. A set that held nothing before its first lattice fill gives
+// the same result more cheaply: fill would put its j-th fill in way
+// j mod ways, so only its last ways fills are written, with no victim
+// scans. Nearly every set of a large L2 is such a set, and skipping
+// the scans halves the sweep of a 6 MB range into an 8 MB L2.
 // The work is thus bounded by the cache's capacity, not by the size
 // of the range; the clock still counts every probe, so every stamp
 // matches the walk.

@@ -205,7 +205,9 @@ func (c *CPU) PrewarmMemory() {
 	c.hier.PrewarmData(trace.DataBase, p.WorkingSetBytes)
 }
 
-// Hierarchy returns the CPU's memory hierarchy.
+// Hierarchy returns the CPU's memory hierarchy, for tests and
+// inspection only: simulation code must not change cache state through
+// it.
 func (c *CPU) Hierarchy() *cache.Hierarchy { return c.hier }
 
 // WarmFunctional consumes n instructions from the stream, training the
