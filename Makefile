@@ -90,11 +90,12 @@ bench:
 	$(GO) run ./cmd/pbbench run -input bench.txt -rev ci -out BENCH_ci.json
 
 # bench-layers runs the per-layer package benchmarks under
-# internal/sim/cache (BenchmarkPrewarm, in blocks/s) at a pinned
-# iteration count into bench-layers.txt. No gate reads it, but a
-# failing benchmark still fails the target.
+# internal/sim (BenchmarkWarmFunctional and BenchmarkWarmTape in
+# instrs/s, cache.BenchmarkPrewarm in blocks/s) at a pinned iteration
+# count into bench-layers.txt. No gate reads it, but a failing
+# benchmark still fails the target.
 bench-layers:
-	$(GO) test -run='^$$' -bench=. -benchtime=200x -count=$(BENCHCOUNT) ./internal/sim/cache/... > bench-layers.txt; \
+	$(GO) test -run='^$$' -bench=. -benchtime=200x -count=$(BENCHCOUNT) ./internal/sim/... > bench-layers.txt; \
 		status=$$?; cat bench-layers.txt; exit $$status
 
 # bench-baseline refreshes the committed baseline trajectory. Only run

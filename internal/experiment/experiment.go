@@ -141,14 +141,20 @@ func Response(w workload.Workload, warmup, instructions int64, shortcut Shortcut
 
 // SampledResponse is Response with region sampling: each design row
 // runs the sampled simulation instead of the full one and reports the
-// extrapolated cycle count. The spec must be normalized and valid; all
+// extrapolated cycle count. The spec must be normalized and valid. All
 // rows of one workload share a memoized schedule, so the functional
-// pre-passes are paid once, not per row.
+// pre-passes are paid once, not per row, and one sampling.Session, so
+// each region group's functional-warming window is recorded by the
+// first row to reach it and replayed by every row.
 func SampledResponse(w workload.Workload, warmup, instructions int64, spec sampling.Spec) pb.FallibleResponse {
+	sess, sessErr := sampling.NewSession(warmup, instructions, spec)
 	var gens sync.Pool
 	return func(ctx context.Context, levels []pb.Level) (float64, error) {
 		if err := ctx.Err(); err != nil {
 			return 0, err
+		}
+		if sessErr != nil {
+			return 0, fmt.Errorf("sampled run %s: %w", w.Name, sessErr)
 		}
 		cfg := sim.ConfigForLevels(levels)
 		gen, _ := gens.Get().(*trace.Generator)
@@ -159,7 +165,7 @@ func SampledResponse(w workload.Workload, warmup, instructions int64, spec sampl
 			}
 		}
 		defer gens.Put(gen)
-		res, err := sampling.Run(cfg, gen, warmup, instructions, spec)
+		res, err := sess.Run(cfg, gen)
 		if err != nil {
 			return 0, fmt.Errorf("sampled run %s: %w", w.Name, err)
 		}

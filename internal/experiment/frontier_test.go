@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -112,6 +113,35 @@ func TestSampledSuiteFractionOneBitIdentical(t *testing.T) {
 		for i := range fr {
 			if math.Float64bits(fr[i]) != math.Float64bits(sr[i]) {
 				t.Fatalf("benchmark %s row %d: sampled %v != full %v", full.Benchmarks[bi], i, sr[i], fr[i])
+			}
+		}
+	}
+}
+
+// TestSampledSuiteMatchesOneShotRuns pins the shared warming tapes: a
+// sampled suite, whose rows replay each workload's recorded warming
+// windows concurrently, must return at %.17g exactly the cycles a
+// one-shot sampling.Run of each row returns.
+func TestSampledSuiteMatchesOneShotRuns(t *testing.T) {
+	ws := frontierWorkloads(t, "gzip", "mcf", "art", "twolf")
+	spec := sampling.Spec{RegionSize: 512, Fraction: 0.1, RegionWarmup: -1, FuncWarmup: 6000, Seed: 3}
+	opts := Options{Instructions: 20 * 512, Warmup: 2000, Workloads: ws, Sampling: &spec}
+	suite, err := RunSuite(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for bi, w := range ws {
+		gen, err := w.NewGenerator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, got := range suite.Results[bi].Responses {
+			res, err := sampling.Run(sim.ConfigForLevels(suite.Design.Row(r)), gen, opts.Warmup, opts.Instructions, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a, b := fmt.Sprintf("%.17g", got), fmt.Sprintf("%.17g", res.Cycles); a != b {
+				t.Fatalf("%s row %d: suite %s, one-shot run %s", w.Name, r, a, b)
 			}
 		}
 	}

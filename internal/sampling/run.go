@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"fmt"
+	"sync"
 
 	"pbsim/internal/sim"
 	"pbsim/internal/trace"
@@ -29,9 +30,10 @@ type Result struct {
 	CyclesCIHalf float64
 	// DetailedInstructions is this run's detail-simulated cost,
 	// including per-region warmup. FunctionalInstructions is this run's
-	// functional-warming cost (predictor/cache training before each
-	// group, roughly an order of magnitude cheaper per instruction than
-	// detailed simulation). ScheduleFunctional is the one-time
+	// functional-warming cost: predictor/cache training before each
+	// group, replayed from the session's recorded windows at ~40–65 ns
+	// per instruction against ~500 ns per detailed instruction (2-vCPU
+	// Xeon VM). ScheduleFunctional is the one-time
 	// generator-walk cost of the shared schedule (proxy + snapshot
 	// passes), paid once per workload x spec and amortized across all
 	// design rows; it is reported identically by every row.
@@ -50,24 +52,78 @@ type Result struct {
 // position on entry is irrelevant (Run restores recorded snapshots);
 // its allocations are reused. Selection is deterministic, so repeated
 // calls — from any row of a PB design — measure identical regions.
+//
+// Run is a one-shot Session: it records the warming windows it
+// replays. Callers that run many configurations of one workload
+// share a Session instead, so each window is recorded once.
 func Run(cfg sim.Config, gen *trace.Generator, warmup, instructions int64, spec Spec) (Result, error) {
-	spec = spec.Normalized()
-	if err := spec.Validate(); err != nil {
-		return Result{}, err
-	}
-	if warmup < 0 || instructions <= 0 {
-		return Result{}, fmt.Errorf("sampling: invalid warmup/measure counts (%d, %d)", warmup, instructions)
-	}
-	numRegions := regionCount(instructions, spec.RegionSize)
-	budget := budgetFor(numRegions, spec.Fraction)
-	if budget >= numRegions {
-		return runCensus(cfg, gen, warmup, instructions, spec, numRegions)
-	}
-	sch, err := scheduleFor(gen, warmup, instructions, spec)
+	s, err := NewSession(warmup, instructions, spec)
 	if err != nil {
 		return Result{}, err
 	}
-	cpi, detailed, funcWarm, err := measure(cfg, gen, sch, instructions)
+	return s.Run(cfg, gen)
+}
+
+// Session runs the sampled simulations of one workload under one
+// window and spec — in a PB suite, every design row of one benchmark —
+// and records each region group's functional-warming window once: the
+// first run to reach a group walks the generator through the window
+// into a trace.Tape and snapshots the stream at its end, and every run
+// (that one included) replays the tape instead of walking the
+// generator again. The tapes live as long as the Session, not in the
+// process-wide schedule memo. A Session is safe for concurrent use.
+type Session struct {
+	warmup, instructions int64
+	spec                 Spec
+	numRegions           int
+	census               bool
+
+	mu     sync.Mutex
+	params trace.Params // the workload, bound by the first sampled Run
+	sch    *schedule
+	warm   []groupWarm // one per schedule group, recorded lazily
+}
+
+// groupWarm is one group's recorded functional-warming window.
+type groupWarm struct {
+	once sync.Once
+	tape *trace.Tape
+	end  trace.Snapshot // the stream right after the window
+	err  error
+}
+
+// NewSession validates the window and spec and returns an empty
+// session; nothing is simulated or recorded until the first Run.
+func NewSession(warmup, instructions int64, spec Spec) (*Session, error) {
+	spec = spec.Normalized()
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	if warmup < 0 || instructions <= 0 {
+		return nil, fmt.Errorf("sampling: invalid warmup/measure counts (%d, %d)", warmup, instructions)
+	}
+	numRegions := regionCount(instructions, spec.RegionSize)
+	return &Session{
+		warmup:       warmup,
+		instructions: instructions,
+		spec:         spec,
+		numRegions:   numRegions,
+		census:       budgetFor(numRegions, spec.Fraction) >= numRegions,
+	}, nil
+}
+
+// Run executes one sampled simulation of configuration cfg over the
+// stream behind gen; see the package-level Run. Every generator passed
+// to one Session must come from the same workload.
+func (s *Session) Run(cfg sim.Config, gen *trace.Generator) (Result, error) {
+	if s.census {
+		return runCensus(cfg, gen, s.warmup, s.instructions, s.spec, s.numRegions)
+	}
+	sch, warm, err := s.schedule(gen)
+	if err != nil {
+		return Result{}, err
+	}
+	cpi, detailed, funcWarm, err := measure(cfg, gen, sch, warm, s.instructions)
 	if err != nil {
 		return Result{}, err
 	}
@@ -76,17 +132,45 @@ func Run(cfg sim.Config, gen *trace.Generator, warmup, instructions int64, spec 
 		return Result{}, err
 	}
 	return Result{
-		Estimator:              spec.Estimator,
-		NumRegions:             numRegions,
+		Estimator:              s.spec.Estimator,
+		NumRegions:             s.numRegions,
 		SampledRegions:         len(sch.regions),
 		CPI:                    mean,
 		CIHalf:                 half,
-		Cycles:                 mean * float64(instructions),
-		CyclesCIHalf:           half * float64(instructions),
+		Cycles:                 mean * float64(s.instructions),
+		CyclesCIHalf:           half * float64(s.instructions),
 		DetailedInstructions:   detailed,
 		FunctionalInstructions: funcWarm,
 		ScheduleFunctional:     sch.functional,
 	}, nil
+}
+
+// schedule binds the session to gen's workload on first use and
+// returns the shared schedule with the session's per-group records.
+func (s *Session) schedule(gen *trace.Generator) (*schedule, []groupWarm, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.sch != nil {
+		if gen.Params() != s.params {
+			return nil, nil, fmt.Errorf("sampling: session serves one workload; generator parameters differ")
+		}
+		return s.sch, s.warm, nil
+	}
+	sch, err := scheduleFor(gen, s.warmup, s.instructions, s.spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	s.params, s.sch, s.warm = gen.Params(), sch, make([]groupWarm, len(sch.groups))
+	return s.sch, s.warm, nil
+}
+
+// record walks gen through g's functional-warming window into w.
+func (w *groupWarm) record(gen *trace.Generator, g *group) {
+	if w.err = gen.Restore(g.snap); w.err != nil {
+		return
+	}
+	w.tape = trace.Record(gen, g.funcWarm)
+	w.end = gen.Snapshot()
 }
 
 // runCensus is the degenerate path when the budget covers every
@@ -116,16 +200,22 @@ func runCensus(cfg sim.Config, gen *trace.Generator, warmup, instructions int64,
 	}, nil
 }
 
-// measure detail-simulates the schedule's groups: per group, the
-// generator is restored to the recorded snapshot, a fresh CPU is
-// functionally prewarmed, functionally warmed through the group's
-// history window, detail-warmed, and each region's cycle count is read
-// as one RunMore increment off the continuous pipeline.
-func measure(cfg sim.Config, gen *trace.Generator, sch *schedule, instructions int64) (map[int]float64, int64, int64, error) {
+// measure detail-simulates the schedule's groups: per group, a fresh
+// CPU is functionally prewarmed, functionally warmed by replaying the
+// group's recorded window (recording it first if no run has), the
+// generator is restored to the window's end, the CPU is detail-warmed,
+// and each region's cycle count is read as one RunMore increment off
+// the continuous pipeline.
+func measure(cfg sim.Config, gen *trace.Generator, sch *schedule, warm []groupWarm, instructions int64) (map[int]float64, int64, int64, error) {
 	cpi := make(map[int]float64, len(sch.regions))
 	var detailed, funcWarm int64
-	for _, g := range sch.groups {
-		if err := gen.Restore(g.snap); err != nil {
+	for gi := range sch.groups {
+		g, w := &sch.groups[gi], &warm[gi]
+		w.once.Do(func() { w.record(gen, g) })
+		if w.err != nil {
+			return nil, 0, 0, w.err
+		}
+		if err := gen.Restore(w.end); err != nil {
 			return nil, 0, 0, err
 		}
 		cpu, err := sim.New(cfg, gen, nil)
@@ -133,10 +223,8 @@ func measure(cfg sim.Config, gen *trace.Generator, sch *schedule, instructions i
 			return nil, 0, 0, err
 		}
 		cpu.PrewarmMemory()
-		if g.funcWarm > 0 {
-			cpu.WarmFunctional(g.funcWarm)
-			funcWarm += g.funcWarm
-		}
+		cpu.WarmTape(w.tape)
+		funcWarm += w.tape.Len()
 		if g.warmup > 0 {
 			if _, err := cpu.RunMore(g.warmup); err != nil {
 				return nil, 0, 0, fmt.Errorf("sampling: warmup before region %d: %w", g.first, err)
@@ -176,7 +264,8 @@ type Cost struct {
 
 // CostOf reports the sampling cost for one workload and window. It
 // builds (or reuses) the memoized schedule, so a following Run pays no
-// additional functional work.
+// schedule pass; a Session still records each warming window on its
+// first use.
 func CostOf(p trace.Params, warmup, instructions int64, spec Spec) (Cost, error) {
 	spec = spec.Normalized()
 	if err := spec.Validate(); err != nil {

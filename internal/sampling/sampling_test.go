@@ -2,8 +2,10 @@ package sampling
 
 import (
 	"math"
+	"sync"
 	"testing"
 
+	"pbsim/internal/pb"
 	"pbsim/internal/sim"
 	"pbsim/internal/trace"
 	"pbsim/internal/workload"
@@ -238,5 +240,71 @@ func TestSeedsDecorrelateWorkloads(t *testing.T) {
 	}
 	if same {
 		t.Fatalf("gzip and mcf selected identical regions %v; workload seeds not mixed in", a)
+	}
+}
+
+// TestSessionConcurrentRecording races many rows of one session onto
+// the first region group, so one records the warming tape while the
+// rest wait for it; every row must equal a one-shot Run of its own.
+// Run it under -race.
+func TestSessionConcurrentRecording(t *testing.T) {
+	design, err := pb.New(len(sim.Factors()), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{RegionSize: minRegionSize, Fraction: 0.2, RegionWarmup: -1, FuncWarmup: 3000, Seed: 9}
+	sess, err := NewSession(testWarmup, testMeasure, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 12
+	gens := make([]*trace.Generator, rows)
+	for i := range gens {
+		gens[i] = testGen(t, "twolf")
+	}
+	got := make([]Result, rows)
+	errs := make([]error, rows)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < rows; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i], errs[i] = sess.Run(sim.ConfigForLevels(design.Row(i*7)), gens[i])
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := 0; i < rows; i++ {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		want, err := Run(sim.ConfigForLevels(design.Row(i*7)), testGen(t, "twolf"), testWarmup, testMeasure, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != want {
+			t.Fatalf("row %d: session run %+v, one-shot run %+v", i*7, got[i], want)
+		}
+		if got[i].FunctionalInstructions == 0 {
+			t.Fatalf("row %d: no functional warming recorded", i*7)
+		}
+	}
+}
+
+// TestSessionServesOneWorkload: the tapes belong to one workload's
+// stream, so a second workload through the same session is an error.
+func TestSessionServesOneWorkload(t *testing.T) {
+	spec := Spec{RegionSize: minRegionSize, Fraction: 0.2, RegionWarmup: -1, Seed: 9}
+	sess, err := NewSession(testWarmup, testMeasure, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Run(sim.Default(), testGen(t, "gzip")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Run(sim.Default(), testGen(t, "mcf")); err == nil {
+		t.Fatal("a session bound to gzip ran mcf")
 	}
 }

@@ -74,11 +74,14 @@ type Spec struct {
 	RegionWarmup int64
 	// FuncWarmup is the number of functionally-warmed instructions
 	// before each region's detailed warmup: the stream trains the
-	// branch predictor, BTB, RAS, caches and TLBs at generator-walk
-	// cost, without cycle accounting. This is what removes the sampled
-	// path's cold-start bias (history-dependent predictor state cannot
-	// be rebuilt by a short detailed warmup). Negative selects
-	// 8*RegionSize, zero disables.
+	// branch predictor, BTB, RAS, caches and TLBs without cycle
+	// accounting. A Session records each window once and every run
+	// replays it, at ~40–65 ns per warmed instruction against
+	// ~150–180 ns for walking the generator (BenchmarkWarmTape,
+	// BenchmarkWarmFunctional and a pb-sampled suite on a 2-vCPU Xeon
+	// VM). This is what removes the sampled path's cold-start bias
+	// (history-dependent predictor state cannot be rebuilt by a short
+	// detailed warmup). Negative selects 8*RegionSize, zero disables.
 	FuncWarmup int64
 	// Seed drives region selection. The per-workload selection stream
 	// mixes Seed with the workload's own seed, so benchmarks sample

@@ -215,9 +215,10 @@ func (c *CPU) Hierarchy() *cache.Hierarchy { return c.hier }
 // execution would — but without advancing the pipeline or charging
 // cycles. It is the functional-warming phase of sampled simulation
 // (SMARTS-style): history-dependent structures enter a sampled region
-// in the trained state a continuous run would have given them, at
-// generator-walk cost. Call it only before detailed simulation begins;
-// once instructions are in flight the pipeline owns the stream.
+// in the trained state a continuous run would have given them. Most of
+// its cost is the generator walk (see WarmTape for the replayed form).
+// Call it only before detailed simulation begins; once instructions
+// are in flight the pipeline owns the stream.
 //
 //pbcheck:hotpath
 func (c *CPU) WarmFunctional(n int64) {
@@ -225,16 +226,44 @@ func (c *CPU) WarmFunctional(n int64) {
 	for i := int64(0); i < n; i++ {
 		in := c.nextInstr()
 		c.consumeInstr()
-		if block := in.PC / blockBytes; block != c.lastFetchBlock {
-			c.hier.InstFetch(in.PC, c.cycle)
-			c.lastFetchBlock = block
-		}
-		if in.Class.IsControl() && c.pred != nil {
-			c.warmControl(in)
-		}
-		if in.Class.IsMem() {
-			c.hier.DataAccess(in.Addr, c.cycle)
-		}
+		c.warmInstr(&in, blockBytes)
+	}
+}
+
+// WarmTape is WarmFunctional over a recorded stretch of the stream:
+// replaying trace.Record(gen, n) leaves every warmed structure exactly
+// as WarmFunctional(n) from the same generator position would, without
+// walking the generator. It does not read or advance the CPU's stream:
+// the caller positions the generator past the recorded window (a
+// snapshot taken after recording) before detailed simulation. Like
+// WarmFunctional, call it only before detailed simulation begins.
+//
+//pbcheck:hotpath
+func (c *CPU) WarmTape(t *trace.Tape) {
+	blockBytes := uint64(c.cfg.L1IBlock)
+	r := t.Reader()
+	var in trace.Instr
+	for r.More() {
+		r.Next(&in)
+		c.warmInstr(&in, blockBytes)
+	}
+}
+
+// warmInstr is the per-instruction functional-warming step both
+// warming paths share: instruction fetch on a new I-cache block,
+// predictor training for control, and the data access for memory.
+//
+//pbcheck:hotpath
+func (c *CPU) warmInstr(in *trace.Instr, blockBytes uint64) {
+	if block := in.PC / blockBytes; block != c.lastFetchBlock {
+		c.hier.InstFetch(in.PC, c.cycle)
+		c.lastFetchBlock = block
+	}
+	if in.Class.IsControl() && c.pred != nil {
+		c.warmControl(*in)
+	}
+	if in.Class.IsMem() {
+		c.hier.DataAccess(in.Addr, c.cycle)
 	}
 }
 

@@ -97,3 +97,29 @@ func TestPrewarmMemoryZeroAllocs(t *testing.T) {
 		t.Errorf("PrewarmMemory allocates %.1f objects/op, want 0", allocs)
 	}
 }
+
+// TestWarmTapeZeroAllocs pins tape replay, which every design row of a
+// sampled suite runs once per region group: decoding and training must
+// not touch the heap.
+func TestWarmTapeZeroAllocs(t *testing.T) {
+	w, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := w.NewGenerator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tape := trace.Record(gen, 5000)
+	cpu, err := sim.New(sim.Default(), gen, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu.PrewarmMemory()
+	allocs := testing.AllocsPerRun(20, func() {
+		cpu.WarmTape(tape)
+	})
+	if !stats.ApproxEqual(allocs, 0, 0) {
+		t.Errorf("WarmTape allocates %.1f objects/op, want 0", allocs)
+	}
+}
