@@ -91,8 +91,9 @@ bench:
 
 # bench-layers runs the per-layer package benchmarks under
 # internal/sim (BenchmarkWarmFunctional and BenchmarkWarmTape in
-# instrs/s, cache.BenchmarkPrewarm in blocks/s) at a pinned iteration
-# count into bench-layers.txt. No gate reads it, but a failing
+# instrs/s, BenchmarkDetailed in instrs/s and simulated cycles/s,
+# cache.BenchmarkPrewarm in blocks/s) at a pinned iteration count into
+# bench-layers.txt. No gate reads it, but a failing
 # benchmark still fails the target.
 bench-layers:
 	$(GO) test -run='^$$' -bench=. -benchtime=200x -count=$(BENCHCOUNT) ./internal/sim/... > bench-layers.txt; \

@@ -48,6 +48,21 @@ type CPU struct {
 	rob *pipeline.ROB
 	lsq *pipeline.LSQ
 
+	// iq holds the dispatched, not yet issued ROB entries in age order
+	// (precomputed entries never enter it); the issue scan walks only
+	// these. Its backing array is preallocated at ROBEntries, and an
+	// entry's pointer stays valid until it issues, because only issued
+	// entries commit.
+	iq []*pipeline.Entry
+	// issueWake is the earliest cycle at which any entry of iq could
+	// issue; issueStage does nothing before it. Waking early is safe,
+	// waking late is not.
+	issueWake int64
+	// stepping disables the idle-cycle skip and the issue wake gate, so
+	// every stage runs every cycle: the reference the event-driven
+	// advance is tested against.
+	stepping bool
+
 	shortcut ComputeShortcut
 
 	ifq     []fetched
@@ -145,6 +160,7 @@ func New(cfg Config, gen *trace.Generator, shortcut ComputeShortcut) (*CPU, erro
 		hier:      hier,
 		shortcut:  shortcut,
 		ifq:       make([]fetched, cfg.IFQEntries),
+		iq:        make([]*pipeline.Entry, 0, cfg.ROBEntries),
 		readyRing: make([]int64, ringSize),
 		ringMask:  ringSize - 1,
 		haltSeq:   -1,
@@ -335,14 +351,25 @@ func (c *CPU) RunMore(n int64) (Stats, error) {
 }
 
 // runTo advances the simulation until the committed-instruction count
-// reaches target.
+// reaches target. It advances by events: each iteration jumps to the
+// earliest cycle at which some stage could act (nextEvent), so the
+// cycles in between — in which every stage would find nothing to do —
+// are never stepped. The results are those of running every stage on
+// every cycle.
 func (c *CPU) runTo(target int64) error {
 	c.stopAt = target
 	// Generous progress bound: even a 1-wide machine with worst-case
 	// memory latencies commits one instruction within ~1000 cycles.
 	maxCycles := c.cycle + (target-c.committed)*2000 + 100000
 	for c.committed < target {
-		c.cycle++
+		if c.stepping {
+			c.issueWake = 0
+			c.cycle++
+		} else {
+			// Capped so that a stuck pipeline still stops at
+			// maxCycles+1, exactly where stepping would.
+			c.cycle = min(c.nextEvent(), maxCycles+1)
+		}
 		c.commitStage()
 		c.issueStage()
 		c.dispatchStage()
@@ -352,6 +379,36 @@ func (c *CPU) runTo(target int64) error {
 		}
 	}
 	return nil
+}
+
+// nextEvent returns the earliest cycle after the current one at which
+// any stage could change state, given the state the CPU is in:
+// commit once the issued ROB head's result is ready, issue at its wake
+// cycle, fetch when a halt's resume cycle arrives (the halt clears then
+// even with the IFQ full) or, with the IFQ not full, when an I-cache
+// stall ends, and dispatch on the following cycle whenever it could
+// move an instruction. Until one of those cycles no stage has anything
+// to do, so the cycles in between can be skipped without changing any
+// result.
+//
+//pbcheck:hotpath
+func (c *CPU) nextEvent() int64 {
+	next := c.cycle + 1
+	if c.ifqLen > 0 && !c.rob.Full() && (!c.ifq[c.ifqHead].instr.Class.IsMem() || !c.lsq.Full()) {
+		return next
+	}
+	at := c.issueWake
+	if h := c.rob.Head(); h != nil && h.Issued && c.committed < c.stopAt {
+		at = min(at, h.ReadyAt)
+	}
+	if c.haltSeq >= 0 {
+		if c.resumeAt >= 0 {
+			at = min(at, c.resumeAt)
+		}
+	} else if c.ifqLen < len(c.ifq) {
+		at = min(at, c.fetchBlockedUntil)
+	}
+	return max(at, next)
 }
 
 // sub returns s - base, field-wise, for warmup exclusion.
@@ -542,7 +599,8 @@ func (c *CPU) predictControl(in trace.Instr) bool {
 }
 
 // dispatchStage moves instructions from the IFQ into the ROB (and
-// LSQ), applying the compute shortcut.
+// LSQ), applying the compute shortcut. Each entry that still has to
+// issue joins iq, and any dispatch re-arms issue for the next cycle.
 //
 //pbcheck:hotpath
 func (c *CPU) dispatchStage() {
@@ -565,7 +623,10 @@ func (c *CPU) dispatchStage() {
 			e.ReadyAt = c.cycle + 1
 			c.readyRing[f.seq&c.ringMask] = e.ReadyAt
 			c.stats.PrecompHits++
+		} else {
+			c.iq = append(c.iq, e)
 		}
+		c.issueWake = c.cycle + 1
 		c.ifqHead++
 		if c.ifqHead == len(c.ifq) {
 			c.ifqHead = 0
@@ -574,106 +635,109 @@ func (c *CPU) dispatchStage() {
 	}
 }
 
-// depsReady reports whether both source operands of e are available.
+// operandsAt returns the cycle at which both source operands of e are
+// available: the later of its producers' result-ready cycles, NotReady
+// while a producer has not issued.
 //
 //pbcheck:hotpath
-func (c *CPU) depsReady(e *pipeline.Entry) bool {
+func (c *CPU) operandsAt(e *pipeline.Entry) int64 {
+	var at int64
 	if d := e.Instr.Dep1; d > 0 {
-		if c.readyRing[(e.Seq-int64(d))&c.ringMask] > c.cycle {
-			return false
-		}
+		at = c.readyRing[(e.Seq-int64(d))&c.ringMask]
 	}
 	if d := e.Instr.Dep2; d > 0 {
-		if c.readyRing[(e.Seq-int64(d))&c.ringMask] > c.cycle {
-			return false
-		}
+		at = max(at, c.readyRing[(e.Seq-int64(d))&c.ringMask])
 	}
-	return true
+	return at
 }
 
 // issueStage selects up to Width ready instructions, oldest first,
-// subject to functional-unit and memory-port availability.
+// subject to functional-unit and memory-port availability. It scans
+// only the unissued entries (iq), and only from issueWake on: each scan
+// sets issueWake to the earliest cycle at which an entry it left
+// waiting could issue — when its operands are ready, when a unit of a
+// busy pool frees up, or the next cycle for a memory-port or
+// issue-width stop — and any dispatch re-arms it for the next cycle.
+// An entry whose producer has not issued needs no wake of its own: it
+// sits behind that producer, whose issue the same scan reaches first.
 //
 //pbcheck:hotpath
 func (c *CPU) issueStage() {
+	if c.cycle < c.issueWake {
+		return
+	}
+	wake := int64(pipeline.NotReady)
 	issued := 0
 	portsUsed := 0
-	// Walk the ROB as its two contiguous windows (oldest first) rather
-	// than via At(i): the windows are stable for the whole scan, so the
-	// per-entry wrap arithmetic disappears from the hottest loop.
-	older, younger := c.rob.Window()
-	for _, win := range [2][]pipeline.Entry{older, younger} {
-		for i := range win {
-			e := &win[i]
-			if e.Issued || !c.depsReady(e) {
+	kept := c.iq[:0]
+	for i, e := range c.iq {
+		if at := c.operandsAt(e); at > c.cycle {
+			wake = min(wake, at)
+			kept = append(kept, e)
+			continue
+		}
+		var pool *pipeline.Pool
+		var lat, interval int64 = 0, 1
+		var ready int64
+		switch e.Instr.Class {
+		case trace.IntALU, trace.Branch, trace.Call, trace.Return:
+			pool, lat = c.intALU, int64(c.cfg.IntALULat)
+		case trace.IntMult:
+			pool, lat = c.intMD, int64(c.cfg.IntMultLat)
+		case trace.IntDiv:
+			pool, lat = c.intMD, int64(c.cfg.IntDivLat)
+			interval = lat
+		case trace.FPAdd:
+			pool, lat = c.fpALU, int64(c.cfg.FPALULat)
+		case trace.FPMult:
+			pool, lat = c.fpMD, int64(c.cfg.FPMultLat)
+			interval = lat
+		case trace.FPDiv:
+			pool, lat = c.fpMD, int64(c.cfg.FPDivLat)
+			interval = lat
+		case trace.FPSqrt:
+			pool, lat = c.fpMD, int64(c.cfg.FPSqrtLat)
+			interval = lat
+		case trace.Load, trace.Store:
+			if portsUsed >= c.cfg.MemPorts {
+				wake = min(wake, c.cycle+1)
+				kept = append(kept, e)
 				continue
 			}
-			var ready int64
-			switch e.Instr.Class {
-			case trace.IntALU, trace.Branch, trace.Call, trace.Return:
-				if !c.intALU.TryIssue(c.cycle, 1) {
-					continue
-				}
-				ready = c.cycle + int64(c.cfg.IntALULat)
-			case trace.IntMult:
-				if !c.intMD.TryIssue(c.cycle, 1) {
-					continue
-				}
-				ready = c.cycle + int64(c.cfg.IntMultLat)
-			case trace.IntDiv:
-				if !c.intMD.TryIssue(c.cycle, int64(c.cfg.IntDivLat)) {
-					continue
-				}
-				ready = c.cycle + int64(c.cfg.IntDivLat)
-			case trace.FPAdd:
-				if !c.fpALU.TryIssue(c.cycle, 1) {
-					continue
-				}
-				ready = c.cycle + int64(c.cfg.FPALULat)
-			case trace.FPMult:
-				if !c.fpMD.TryIssue(c.cycle, int64(c.cfg.FPMultLat)) {
-					continue
-				}
-				ready = c.cycle + int64(c.cfg.FPMultLat)
-			case trace.FPDiv:
-				if !c.fpMD.TryIssue(c.cycle, int64(c.cfg.FPDivLat)) {
-					continue
-				}
-				ready = c.cycle + int64(c.cfg.FPDivLat)
-			case trace.FPSqrt:
-				if !c.fpMD.TryIssue(c.cycle, int64(c.cfg.FPSqrtLat)) {
-					continue
-				}
-				ready = c.cycle + int64(c.cfg.FPSqrtLat)
-			case trace.Load:
-				if portsUsed >= c.cfg.MemPorts {
-					continue
-				}
-				portsUsed++
+			portsUsed++
+			if e.Instr.Class == trace.Load {
 				ready = c.cycle + c.hier.DataAccess(e.Instr.Addr, c.cycle)
-			case trace.Store:
-				if portsUsed >= c.cfg.MemPorts {
-					continue
-				}
-				portsUsed++
-				// Address generation and store-buffer write; the cache is
-				// updated at commit.
+			} else {
+				// Address generation and store-buffer write; the cache
+				// is updated at commit.
 				ready = c.cycle + int64(c.cfg.L1DLat)
-			default:
-				ready = c.cycle + 1
 			}
-			e.Issued = true
-			e.ReadyAt = ready
-			c.readyRing[e.Seq&c.ringMask] = ready
-			if e.Mispredict && e.Seq == c.haltSeq {
-				c.resumeAt = ready + int64(c.cfg.MispredictPenalty)
+		default:
+			ready = c.cycle + 1
+		}
+		if pool != nil {
+			if !pool.TryIssue(c.cycle, interval) {
+				wake = min(wake, pool.NextFree())
+				kept = append(kept, e)
+				continue
 			}
-			issued++
-			if issued == c.cfg.Width {
-				return
-			}
+			ready = c.cycle + lat
+		}
+		e.Issued = true
+		e.ReadyAt = ready
+		c.readyRing[e.Seq&c.ringMask] = ready
+		if e.Mispredict && e.Seq == c.haltSeq {
+			c.resumeAt = ready + int64(c.cfg.MispredictPenalty)
+		}
+		issued++
+		if issued == c.cfg.Width {
+			kept = append(kept, c.iq[i+1:]...)
+			wake = min(wake, c.cycle+1)
+			break
 		}
 	}
+	c.iq = kept
+	c.issueWake = wake
 }
 
 // commitStage retires completed instructions in order, up to Width per

@@ -103,8 +103,8 @@ func (r *ROB) PopHead() {
 }
 
 // At returns the i-th oldest entry (0 = head). The pointer is valid
-// until the entry is popped. Not a hot path since the issue loop moved
-// to Window (the guard below formats its panic, which allocates).
+// until the entry is popped. Not a hot path: the guard below formats
+// its panic, which allocates.
 func (r *ROB) At(i int) *Entry {
 	if i < 0 || i >= r.count {
 		//pbcheck:ignore nopanic index invariant guards a programmer error, like a slice bounds check; never reachable from row data
@@ -115,25 +115,6 @@ func (r *ROB) At(i int) *Entry {
 		idx -= len(r.entries)
 	}
 	return &r.entries[idx]
-}
-
-// Window returns the occupied entries as up to two contiguous slices
-// in age order: every entry of a is older than every entry of b. The
-// slices alias the buffer and are invalidated by the next Push or
-// PopHead. Scanning them lets the issue loop walk the ROB without the
-// per-entry index arithmetic and occupancy check of At, which profiles
-// as the single hottest call site of the simulator.
-//
-//pbcheck:hotpath
-func (r *ROB) Window() (a, b []Entry) {
-	if r.count == 0 {
-		return nil, nil
-	}
-	end := r.head + r.count
-	if end <= len(r.entries) {
-		return r.entries[r.head:end], nil
-	}
-	return r.entries[r.head:], r.entries[:end-len(r.entries)]
 }
 
 // LSQ tracks load-store queue occupancy. Entries are allocated at

@@ -38,33 +38,43 @@ func TestTraceGeneratorZeroAllocs(t *testing.T) {
 }
 
 // TestSimulatorStepZeroAllocs pins the simulator's steady-state
-// cycle loop (fetch/dispatch/issue/commit over a warmed machine).
+// cycle loop (fetch/dispatch/issue/commit over a warmed machine), both
+// on a compute-bound run and on a memory-bound one (mcf with a
+// 200-cycle first-chunk DRAM latency), where most cycles are idle and
+// skipped.
 func TestSimulatorStepZeroAllocs(t *testing.T) {
-	w, err := workload.ByName("gzip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := w.NewGenerator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpu, err := sim.New(sim.Default(), gen, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpu.PrewarmMemory()
-	committed := int64(2000)
-	if _, err := cpu.Run(committed); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		committed += 100
+	memBound := sim.Default()
+	memBound.MemLatFirst = 200
+	for _, c := range []struct {
+		bench string
+		cfg   sim.Config
+	}{{"gzip", sim.Default()}, {"mcf", memBound}} {
+		w, err := workload.ByName(c.bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen, err := w.NewGenerator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cpu, err := sim.New(c.cfg, gen, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cpu.PrewarmMemory()
+		committed := int64(2000)
 		if _, err := cpu.Run(committed); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if !stats.ApproxEqual(allocs, 0, 0) {
-		t.Errorf("simulator steady-state step allocates %.1f objects/op, want 0", allocs)
+		allocs := testing.AllocsPerRun(50, func() {
+			committed += 100
+			if _, err := cpu.Run(committed); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !stats.ApproxEqual(allocs, 0, 0) {
+			t.Errorf("%s: simulator steady-state step allocates %.1f objects/op, want 0", c.bench, allocs)
+		}
 	}
 }
 
