@@ -10,7 +10,7 @@ BENCHTIME ?= 2x
 BENCHCOUNT ?= 5
 BENCHFLAGS = -run='^$$' -bench=. -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) .
 
-.PHONY: all build vet fmt-check lint lint-new lint-baseline test race race-hammer short bench bench-layers bench-baseline bench-check check cover chaos assess frontier
+.PHONY: all build vet fmt-check lint lint-new lint-baseline test race race-hammer short examples bench bench-layers bench-baseline bench-check check cover chaos assess frontier
 
 all: check
 
@@ -71,6 +71,13 @@ race-hammer:
 
 short:
 	$(GO) test -short ./...
+
+# examples builds and runs every program under examples/ and fails on
+# the first non-zero exit. Each is small (about 8 s for all six on a
+# 2-vCPU machine); their timing gates nothing.
+EXAMPLES = $(sort $(dir $(wildcard examples/*/main.go)))
+examples:
+	@set -e; for d in $(EXAMPLES); do echo "== $$d"; $(GO) run ./$$d; done
 
 # chaos drives the kill/restart/resume loop of the distributed
 # execution layer under the race detector: workers die at injected

@@ -7,6 +7,7 @@
 package pbsim
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -134,7 +135,7 @@ func BenchmarkTable9PBRanking(b *testing.B) {
 	ws := benchWorkloads(b, "gzip", "mcf")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		suite, err := experiment.RunSuite(experiment.Options{
+		suite, err := experiment.RunSuiteCtx(context.Background(), experiment.Options{
 			Instructions: benchInstr,
 			Warmup:       benchWarmup,
 			Foldover:     true,
@@ -197,14 +198,14 @@ func BenchmarkTable12Enhanced(b *testing.B) {
 			Foldover:     true,
 			Workloads:    ws,
 		}
-		before, err := experiment.RunSuite(opts)
+		before, err := experiment.RunSuiteCtx(context.Background(), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
 		opts.Shortcut = func(workload.Workload) (sim.ComputeShortcut, error) {
 			return enhance.NewPrecomputation(freq, 128)
 		}
-		after, err := experiment.RunSuite(opts)
+		after, err := experiment.RunSuiteCtx(context.Background(), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -222,7 +223,7 @@ func BenchmarkAblationFoldover(b *testing.B) {
 	for _, foldover := range []bool{false, true} {
 		b.Run(fmt.Sprintf("foldover=%v", foldover), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := experiment.RunSuite(experiment.Options{
+				if _, err := experiment.RunSuiteCtx(context.Background(), experiment.Options{
 					Instructions: benchInstr,
 					Warmup:       benchWarmup,
 					Foldover:     foldover,
@@ -313,7 +314,7 @@ func BenchmarkAblationTraceLength(b *testing.B) {
 	for _, scale := range []int64{1, 3} {
 		b.Run(fmt.Sprintf("instr=%d", scale*benchInstr), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := experiment.RunSuite(experiment.Options{
+				if _, err := experiment.RunSuiteCtx(context.Background(), experiment.Options{
 					Instructions: scale * benchInstr,
 					Warmup:       benchWarmup,
 					Foldover:     true,

@@ -111,6 +111,10 @@ func run() (err error) {
 	if err != nil {
 		return obs.Usagef("%v", err)
 	}
+	rec := sess.Recorder()
+	if *verbose {
+		rec = obs.Multi(rec, verboseRecorder{w: os.Stderr})
+	}
 	opts := experiment.Options{
 		Instructions: *n,
 		Warmup:       *warmup,
@@ -120,18 +124,8 @@ func run() (err error) {
 		Timeout:      *timeout,
 		Retries:      *retries,
 		Checkpoint:   *checkpoint,
-		Recorder:     sess.Recorder(),
+		Recorder:     rec,
 		Sampling:     sampleSpec,
-	}
-	if *verbose {
-		opts.OnRetry = func(scope string, row, attempt int, delay time.Duration, err error) {
-			fmt.Fprintf(os.Stderr, "pbrank: retrying %s row %d (attempt %d, in %v): %v\n", scope, row, attempt, delay, err)
-		}
-		opts.OnRow = func(scope string, row int, _ float64, fromCheckpoint bool) {
-			if fromCheckpoint {
-				fmt.Fprintf(os.Stderr, "pbrank: %s row %d restored from checkpoint\n", scope, row)
-			}
-		}
 	}
 	var suite *pb.Suite
 	if *workers > 0 || *shardDir != "" {
@@ -241,9 +235,6 @@ func runDistributed(ctx context.Context, opts experiment.Options, workers int, d
 				Runner: runner.Config{
 					Timeout: opts.Timeout,
 					Retries: opts.Retries,
-					Backoff: opts.Backoff,
-					OnRow:   opts.OnRow,
-					OnRetry: opts.OnRetry,
 				},
 				Recorder: opts.Recorder,
 			})
@@ -270,6 +261,24 @@ func runDistributed(ctx context.Context, opts experiment.Options, workers int, d
 		return nil, fmt.Errorf("campaign incomplete: %d units missing; rerun with -shard-dir %s to resume", len(res.Missing), dir)
 	}
 	return experiment.SuiteFromMerge(opts, res)
+}
+
+// verboseRecorder prints the -v lines: every scheduled retry and
+// every row restored from the checkpoint. It ignores all other events,
+// simulated rows included.
+type verboseRecorder struct {
+	obs.Nop
+	w io.Writer
+}
+
+func (v verboseRecorder) RowRetried(scope string, row, attempt int, delay time.Duration, err error) {
+	fmt.Fprintf(v.w, "pbrank: retrying %s row %d (attempt %d, in %v): %v\n", scope, row, attempt, delay, err)
+}
+
+func (v verboseRecorder) RowFinished(scope string, row int, _ float64, _ time.Duration, _ int, fromCheckpoint bool) {
+	if fromCheckpoint {
+		fmt.Fprintf(v.w, "pbrank: %s row %d restored from checkpoint\n", scope, row)
+	}
 }
 
 func selectWorkloads(list string) ([]workload.Workload, error) {

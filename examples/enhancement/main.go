@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"pbsim/internal/enhance"
@@ -57,7 +58,7 @@ func main() {
 		Foldover:     true,
 		Workloads:    ws,
 	}
-	before, err := experiment.RunSuite(opts)
+	before, err := experiment.RunSuiteCtx(context.Background(), opts)
 	if err != nil {
 		panic(err)
 	}
@@ -68,7 +69,7 @@ func main() {
 		}
 		return enhance.NewPrecomputation(freq, 128)
 	}
-	after, err := experiment.RunSuite(opts)
+	after, err := experiment.RunSuiteCtx(context.Background(), opts)
 	if err != nil {
 		panic(err)
 	}

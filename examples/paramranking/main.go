@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"pbsim/internal/experiment"
@@ -34,7 +35,7 @@ func main() {
 	}
 
 	// Step 1: the PB screen.
-	suite, err := experiment.RunSuite(experiment.Options{
+	suite, err := experiment.RunSuiteCtx(context.Background(), experiment.Options{
 		Instructions: instructions,
 		Warmup:       warmup,
 		Foldover:     true,

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"pbsim/internal/pb"
@@ -32,8 +33,9 @@ func main() {
 	// Latency model: the cache dominates, the pool matters, compression
 	// helps a little, and batch writes only pay off when the pool is
 	// large (an interaction the foldover protects the main effects
-	// from). Logging and NUMA pinning are noise-level.
-	latency := func(l []pb.Level) float64 {
+	// from). Logging and NUMA pinning are noise-level. A response may
+	// fail; this one only reports a cancelled run.
+	latency := func(ctx context.Context, l []pb.Level) (float64, error) {
 		ms := 100.0
 		ms -= 30 * float64(l[0])                // cache
 		ms -= 12 * float64(l[1])                // pool
@@ -41,10 +43,10 @@ func main() {
 		ms -= 3 * float64(l[1]) * float64(l[3]) // batch x pool interaction
 		ms -= 0.3 * float64(l[5])
 		ms -= 0.2 * float64(l[6])
-		return ms
+		return ms, ctx.Err()
 	}
 
-	result, err := pb.Run(factors, latency, pb.Options{Foldover: true})
+	result, err := pb.RunCtx(context.Background(), factors, latency, pb.Options{Foldover: true})
 	if err != nil {
 		panic(err)
 	}

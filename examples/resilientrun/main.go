@@ -102,10 +102,7 @@ func run() (err error) {
 		Backoff:    5 * time.Millisecond,
 		BackoffCap: 50 * time.Millisecond,
 		Wrap:       faults.Wrap,
-		Recorder:   metrics,
-		OnRetry: func(scope string, row, attempt int, delay time.Duration, err error) {
-			fmt.Printf("  retry %s row %d (attempt %d, backoff %v): %v\n", scope, row, attempt, delay, err)
-		},
+		Recorder:   obs.Multi(metrics, retryPrinter{}),
 	}
 	faulted, err := pb.RunSuiteCtx(context.Background(), factors, benchmarks, responses, opts)
 	if err != nil {
@@ -219,6 +216,14 @@ func run() (err error) {
 			pos+1, resumed.Factors[f].Name, resumed.Sums[f], same)
 	}
 	return nil
+}
+
+// retryPrinter prints every scheduled retry; it ignores all other
+// events.
+type retryPrinter struct{ obs.Nop }
+
+func (retryPrinter) RowRetried(scope string, row, attempt int, delay time.Duration, err error) {
+	fmt.Printf("  retry %s row %d (attempt %d, backoff %v): %v\n", scope, row, attempt, delay, err)
 }
 
 // countEvents reads a metrics JSONL back and tallies the two row

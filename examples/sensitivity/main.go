@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -32,7 +33,8 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	resp, respErr := experiment.Response(w, warmup, instructions, nil).Infallible()
+	response := experiment.Response(w, warmup, instructions, nil)
+	resp, respErr := response.Infallible()
 	factors := []string{}
 	for _, f := range experimentFactors() {
 		factors = append(factors, f.Name)
@@ -53,14 +55,14 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	if err := respErr(); err != nil {
+		panic(err)
+	}
 
 	// The PB foldover design: 88 simulations, effects averaged over
 	// the whole parameter space.
-	pbRes, err := pb.Run(experimentFactors(), resp, pb.Options{Foldover: true})
+	pbRes, err := pb.RunCtx(context.Background(), experimentFactors(), response, pb.Options{Foldover: true})
 	if err != nil {
-		panic(err)
-	}
-	if err := respErr(); err != nil {
 		panic(err)
 	}
 

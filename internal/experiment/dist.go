@@ -9,7 +9,6 @@ import (
 	"pbsim/internal/pb"
 	"pbsim/internal/runner/dist"
 	"pbsim/internal/sampling"
-	"pbsim/internal/sim"
 	"pbsim/internal/workload"
 )
 
@@ -31,48 +30,13 @@ const (
 	specSample     = "sample"
 )
 
-// campaignPlan is everything derivable from Options that the
-// distributed path needs: the design, the resolved workload list, and
-// the fingerprint.
-type campaignPlan struct {
-	opts    Options
-	design  *pb.Design
-	factors []pb.Factor
-	ws      []workload.Workload
-}
-
-func planCampaign(opts Options) (*campaignPlan, error) {
+// planCampaign is plan for the distributed entry points, which run
+// the base simulator only.
+func planCampaign(opts Options) (*suitePlan, error) {
 	if opts.Shortcut != nil {
 		return nil, fmt.Errorf("experiment: distributed campaigns run the base simulator only (enhancement shortcuts cannot be reconstructed from a manifest)")
 	}
-	if opts.Instructions <= 0 {
-		opts.Instructions = DefaultInstructions
-	}
-	if opts.Warmup < 0 {
-		opts.Warmup = DefaultWarmup
-	}
-	if opts.Sampling != nil {
-		// Normalize here so the manifest, the fingerprint, and every
-		// reconstructing worker agree on one canonical spec.
-		spec := opts.Sampling.Normalized()
-		if err := spec.Validate(); err != nil {
-			return nil, fmt.Errorf("experiment: %w", err)
-		}
-		opts.Sampling = &spec
-	}
-	ws := opts.Workloads
-	if ws == nil {
-		ws = workload.All()
-	}
-	if len(ws) == 0 {
-		return nil, fmt.Errorf("experiment: empty workload list")
-	}
-	factors := sim.Factors()
-	design, err := pb.New(len(factors), opts.Foldover)
-	if err != nil {
-		return nil, err
-	}
-	return &campaignPlan{opts: opts, design: design, factors: factors, ws: ws}, nil
+	return plan(opts)
 }
 
 // CampaignManifest builds the dist manifest for opts: one scope per
@@ -158,11 +122,7 @@ func CampaignTask(opts Options, man dist.Manifest) (dist.Task, error) {
 	}
 	byName := make(map[string]pb.FallibleResponse, len(p.ws))
 	for _, w := range p.ws {
-		if p.opts.Sampling != nil {
-			byName[w.Name] = SampledResponse(w, p.opts.Warmup, p.opts.Instructions, *p.opts.Sampling)
-		} else {
-			byName[w.Name] = Response(w, p.opts.Warmup, p.opts.Instructions, nil)
-		}
+		byName[w.Name] = p.response(w)
 	}
 	for _, s := range man.Scopes {
 		if byName[s.Name] == nil {

@@ -62,11 +62,9 @@ type Options struct {
 	// disables the per-row deadline.
 	Timeout time.Duration
 	// Retries is the number of extra attempts a failed configuration
-	// gets before the benchmark is failed with an aggregate error.
+	// gets, paced by runner.DefaultBackoff, before the benchmark is
+	// failed with an aggregate error.
 	Retries int
-	// Backoff overrides the base retry delay (runner.DefaultBackoff
-	// when zero).
-	Backoff time.Duration
 	// Checkpoint, when non-empty, is the path of a JSONL journal of
 	// completed configurations: an interrupted suite rerun with the
 	// same options resumes exactly where it stopped and reproduces
@@ -76,18 +74,13 @@ type Options struct {
 	// enhanced suites of Table 12) that share one checkpoint file.
 	// Empty means "base".
 	Label string
-	// OnRow, when non-nil, observes every completed configuration
-	// (scope is "label/benchmark"); fromCheckpoint marks rows that
-	// were restored rather than simulated.
-	OnRow func(scope string, row int, value float64, fromCheckpoint bool)
-	// OnRetry, when non-nil, observes every retry decision.
-	OnRetry func(scope string, row, attempt int, delay time.Duration, err error)
 	// Recorder, when non-nil, receives the full observability event
 	// stream (suite/run lifecycle, per-attempt latency, retries,
-	// checkpoint restores, worker occupancy). The suite announcement
-	// carries the same fingerprint the checkpoint uses, so a metrics
-	// JSONL and a checkpoint JSONL from one campaign join on it.
-	// Recording never changes scheduling or results.
+	// checkpoint restores, worker occupancy) under row scopes
+	// "label/benchmark". The suite announcement carries the same
+	// fingerprint the checkpoint uses, so a metrics JSONL and a
+	// checkpoint JSONL from one campaign join on it. Recording never
+	// changes scheduling or results.
 	Recorder obs.Recorder
 }
 
@@ -173,18 +166,33 @@ func SampledResponse(w workload.Workload, warmup, instructions int64, spec sampl
 	}
 }
 
-// RunSuite executes the full PB experiment over the benchmark suite
-// and returns per-benchmark ranks plus the sum-of-ranks ordering. It
-// is the non-cancellable adapter over RunSuiteCtx.
-func RunSuite(opts Options) (*pb.Suite, error) {
-	return RunSuiteCtx(context.Background(), opts)
+// RunSuiteCtx executes the full PB experiment over the benchmark
+// suite and returns per-benchmark ranks plus the sum-of-ranks
+// ordering. The context cancels the whole experiment (all in-flight
+// simulations drain before it returns), and the Options'
+// Timeout/Retries/Checkpoint fields configure the resilient runner.
+func RunSuiteCtx(ctx context.Context, opts Options) (*pb.Suite, error) {
+	p, err := plan(opts)
+	if err != nil {
+		return nil, err
+	}
+	return p.run(ctx)
 }
 
-// RunSuiteCtx is the fault-tolerant suite entry point: the context
-// cancels the whole experiment (all in-flight simulations drain
-// before it returns), and the Options' Timeout/Retries/Checkpoint
-// fields configure the resilient runner.
-func RunSuiteCtx(ctx context.Context, opts Options) (suite *pb.Suite, err error) {
+// suitePlan is an Options resolved once for every entry point: budgets
+// defaulted, the sampling spec normalized and validated, the workload
+// list filled in, and the design built.
+type suitePlan struct {
+	opts    Options
+	design  *pb.Design
+	factors []pb.Factor
+	ws      []workload.Workload
+}
+
+// plan resolves opts. The sequential, distributed and frontier entry
+// points all go through it, so they agree on one fingerprint for the
+// same options.
+func plan(opts Options) (*suitePlan, error) {
 	if opts.Instructions <= 0 {
 		opts.Instructions = DefaultInstructions
 	}
@@ -213,24 +221,36 @@ func RunSuiteCtx(ctx context.Context, opts Options) (suite *pb.Suite, err error)
 	if err != nil {
 		return nil, err
 	}
+	return &suitePlan{opts: opts, design: design, factors: factors, ws: ws}, nil
+}
+
+// response builds the row evaluator for one workload: sampled when
+// the plan samples, full (with the optional shortcut) otherwise.
+func (p *suitePlan) response(w workload.Workload) pb.FallibleResponse {
+	if p.opts.Sampling != nil {
+		return SampledResponse(w, p.opts.Warmup, p.opts.Instructions, *p.opts.Sampling)
+	}
+	return Response(w, p.opts.Warmup, p.opts.Instructions, p.opts.Shortcut)
+}
+
+// run evaluates the planned suite sequentially, checkpointing and
+// recording per the options.
+func (p *suitePlan) run(ctx context.Context) (suite *pb.Suite, err error) {
 	pbOpts := pb.Options{
-		Foldover:    opts.Foldover,
-		Parallelism: opts.Parallelism,
+		Foldover: p.opts.Foldover,
 		Runner: runner.Config{
-			Timeout:  opts.Timeout,
-			Retries:  opts.Retries,
-			Backoff:  opts.Backoff,
-			Scope:    label(opts),
-			OnRow:    opts.OnRow,
-			OnRetry:  opts.OnRetry,
-			Recorder: opts.Recorder,
+			Parallelism: p.opts.Parallelism,
+			Timeout:     p.opts.Timeout,
+			Retries:     p.opts.Retries,
+			Scope:       label(p.opts),
+			Recorder:    p.opts.Recorder,
 		},
 	}
-	if opts.Recorder != nil {
-		opts.Recorder.SuiteStarted(Fingerprint(design, opts), len(ws), design.Runs())
+	if p.opts.Recorder != nil {
+		p.opts.Recorder.SuiteStarted(Fingerprint(p.design, p.opts), len(p.ws), p.design.Runs())
 	}
-	if opts.Checkpoint != "" {
-		cp, cpErr := runner.OpenCheckpoint(opts.Checkpoint, Fingerprint(design, opts))
+	if p.opts.Checkpoint != "" {
+		cp, cpErr := runner.OpenCheckpoint(p.opts.Checkpoint, Fingerprint(p.design, p.opts))
 		if cpErr != nil {
 			return nil, fmt.Errorf("experiment: %w", cpErr)
 		}
@@ -244,17 +264,13 @@ func RunSuiteCtx(ctx context.Context, opts Options) (suite *pb.Suite, err error)
 		}()
 		pbOpts.Runner.Checkpoint = cp
 	}
-	names := make([]string, len(ws))
-	responses := make([]pb.FallibleResponse, len(ws))
-	for i, w := range ws {
+	names := make([]string, len(p.ws))
+	responses := make([]pb.FallibleResponse, len(p.ws))
+	for i, w := range p.ws {
 		names[i] = w.Name
-		if opts.Sampling != nil {
-			responses[i] = SampledResponse(w, opts.Warmup, opts.Instructions, *opts.Sampling)
-		} else {
-			responses[i] = Response(w, opts.Warmup, opts.Instructions, opts.Shortcut)
-		}
+		responses[i] = p.response(w)
 	}
-	return pb.RunSuiteWithDesignCtx(ctx, design, factors, names, responses, pbOpts)
+	return pb.RunSuiteWithDesignCtx(ctx, p.design, p.factors, names, responses, pbOpts)
 }
 
 // Fingerprint identifies one experiment variant inside a checkpoint

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pbsim/internal/enhance"
+	"pbsim/internal/obs"
 	"pbsim/internal/pb"
 	"pbsim/internal/runner"
 	"pbsim/internal/sim"
@@ -67,7 +68,7 @@ func TestRunSuiteSmall(t *testing.T) {
 		}
 		ws = append(ws, w)
 	}
-	suite, err := RunSuite(Options{
+	suite, err := RunSuiteCtx(context.Background(), Options{
 		Instructions: 3000,
 		Warmup:       2000,
 		Foldover:     true,
@@ -138,7 +139,7 @@ func TestResponsePropagatesErrors(t *testing.T) {
 
 	// A whole suite over the broken workload fails with an aggregate
 	// error instead of dying.
-	_, err = RunSuite(Options{
+	_, err = RunSuiteCtx(context.Background(), Options{
 		Instructions: 1000,
 		Workloads:    []workload.Workload{bad},
 	})
@@ -175,27 +176,21 @@ func TestRunSuiteCheckpointResume(t *testing.T) {
 		Workloads:    []workload.Workload{w},
 		Checkpoint:   filepath.Join(t.TempDir(), "suite.jsonl"),
 	}
-	first, err := RunSuite(opts)
+	first, err := RunSuiteCtx(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Rerun with the same options: every row restores, nothing is
 	// re-simulated, and the responses are bit-identical.
-	var restored, simulated int
-	opts.OnRow = func(_ string, _ int, _ float64, fromCheckpoint bool) {
-		if fromCheckpoint {
-			restored++
-		} else {
-			simulated++
-		}
-	}
-	opts.Parallelism = 1 // serialize so the OnRow counters need no lock
-	second, err := RunSuite(opts)
+	metrics := obs.NewMetrics()
+	opts.Recorder = metrics
+	second, err := RunSuiteCtx(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if simulated != 0 || restored != first.Design.Runs() {
-		t.Errorf("resume simulated %d rows and restored %d, want 0 and %d", simulated, restored, first.Design.Runs())
+	sum := metrics.Summary("resume")
+	if sum.RowsSimulated != 0 || sum.RowsResumed != int64(first.Design.Runs()) {
+		t.Errorf("resume simulated %d rows and restored %d, want 0 and %d", sum.RowsSimulated, sum.RowsResumed, first.Design.Runs())
 	}
 	for i := range first.Results[0].Responses {
 		a, b := first.Results[0].Responses[i], second.Results[0].Responses[i]
@@ -205,9 +200,9 @@ func TestRunSuiteCheckpointResume(t *testing.T) {
 	}
 	// A different instruction budget changes the fingerprint: the
 	// stale rows must NOT be reused.
-	opts.OnRow = nil
+	opts.Recorder = nil
 	opts.Instructions = 3000
-	third, err := RunSuite(opts)
+	third, err := RunSuiteCtx(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +214,7 @@ func TestRunSuiteCheckpointResume(t *testing.T) {
 func TestRunSuiteDefaults(t *testing.T) {
 	// Option defaulting: explicit zero instructions selects the
 	// default, negative warmup selects the default warmup.
-	if _, err := RunSuite(Options{Workloads: []workload.Workload{}}); err == nil {
+	if _, err := RunSuiteCtx(context.Background(), Options{Workloads: []workload.Workload{}}); err == nil {
 		t.Error("empty workload list accepted")
 	}
 }
@@ -261,7 +256,7 @@ func TestTable9ShapeFullSuite(t *testing.T) {
 		t.Skip("13x88 full-scale suite exceeds the race detector's time budget; " +
 			"the suite's concurrency is covered by the runner, pb, and checkpoint race tests")
 	}
-	suite, err := RunSuite(Options{
+	suite, err := RunSuiteCtx(context.Background(), Options{
 		Instructions: 20000,
 		Warmup:       10000,
 		Foldover:     true,
@@ -325,8 +320,8 @@ func TestTable9ShapeFullSuite(t *testing.T) {
 
 func TestCSVExports(t *testing.T) {
 	factors := []pb.Factor{{Name: "A"}, {Name: "B"}}
-	resp := func(l []pb.Level) float64 { return 100 + 10*float64(l[0]) }
-	suite, err := pb.RunSuite(factors, []string{"w1"}, []pb.Response{resp}, pb.Options{Foldover: true})
+	resp := func(_ context.Context, l []pb.Level) (float64, error) { return 100 + 10*float64(l[0]), nil }
+	suite, err := pb.RunSuiteCtx(context.Background(), factors, []string{"w1"}, []pb.FallibleResponse{resp}, pb.Options{Foldover: true})
 	if err != nil {
 		t.Fatal(err)
 	}

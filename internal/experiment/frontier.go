@@ -104,33 +104,27 @@ func RunFrontier(ctx context.Context, fopts FrontierOptions) (*FrontierReport, e
 	if ests == nil {
 		ests = sampling.Names()
 	}
-	base := Options{
+	base, err := plan(Options{
 		Instructions: fopts.Instructions,
 		Warmup:       fopts.Warmup,
 		Foldover:     fopts.Foldover,
 		Parallelism:  fopts.Parallelism,
 		Workloads:    fopts.Workloads,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("frontier: full suite: %w", err)
 	}
+	n, warm := base.opts.Instructions, base.opts.Warmup
 
 	t0 := time.Now()
-	full, err := RunSuiteCtx(ctx, base)
+	full, err := base.run(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("frontier: full suite: %w", err)
 	}
 	fullWall := time.Since(t0)
 	fullRanks := rankPermutation(full)
 	rows := full.Design.Runs()
-	// Budgets may have been defaulted inside RunSuiteCtx; recover the
-	// effective values for cost accounting.
-	n, warm := base.Instructions, base.Warmup
-	if n <= 0 {
-		n = DefaultInstructions
-	}
-	if warm < 0 {
-		warm = DefaultWarmup
-	}
-	perRunFull := warm + n
-	fullDetailed := int64(rows) * int64(len(full.Benchmarks)) * perRunFull
+	fullDetailed := int64(rows) * int64(len(full.Benchmarks)) * (warm + n)
 
 	report := &FrontierReport{
 		Instructions:             n,
@@ -147,19 +141,20 @@ func RunFrontier(ctx context.Context, fopts FrontierOptions) (*FrontierReport, e
 	for _, est := range ests {
 		spec := fopts.Spec
 		spec.Estimator = est
-		spec = spec.Normalized()
-		if err := spec.Validate(); err != nil {
+		opts := base.opts
+		opts.Sampling = &spec
+		sp, err := plan(opts)
+		if err != nil {
 			return nil, fmt.Errorf("frontier: %w", err)
 		}
+		spec = *sp.opts.Sampling
 		if report.SampleSpec == "" {
 			// The shared (estimator-independent) parameters, canonical.
 			report.SampleSpec = spec.String()
 		}
-		opts := base
-		opts.Sampling = &spec
 
 		t1 := time.Now()
-		sampled, err := RunSuiteCtx(ctx, opts)
+		sampled, err := sp.run(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("frontier: %s suite: %w", est, err)
 		}
@@ -174,7 +169,7 @@ func RunFrontier(ctx context.Context, fopts FrontierOptions) (*FrontierReport, e
 		if err != nil {
 			return nil, fmt.Errorf("frontier: %s: %w", est, err)
 		}
-		for _, w := range resolveWorkloads(fopts.Workloads) {
+		for _, w := range base.ws {
 			cost, err := sampling.CostOf(w.Params, warm, n, spec)
 			if err != nil {
 				return nil, fmt.Errorf("frontier: %s cost for %s: %w", est, w.Name, err)
@@ -233,13 +228,6 @@ func responseErrors(full, sampled *pb.Suite) (mean, max float64, err error) {
 		}
 	}
 	return sum / float64(count), max, nil
-}
-
-func resolveWorkloads(ws []workload.Workload) []workload.Workload {
-	if ws == nil {
-		return workload.All()
-	}
-	return ws
 }
 
 // WriteText renders the report as an aligned text table.

@@ -95,13 +95,13 @@ func TestFrontierGate(t *testing.T) {
 func TestSampledSuiteFractionOneBitIdentical(t *testing.T) {
 	ws := frontierWorkloads(t, "gzip", "twolf")
 	base := Options{Instructions: 8000, Warmup: 2000, Workloads: ws}
-	full, err := RunSuite(base)
+	full, err := RunSuiteCtx(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sampled := base
 	sampled.Sampling = &sampling.Spec{Fraction: 1.0, RegionWarmup: -1, FuncWarmup: -1}
-	got, err := RunSuite(sampled)
+	got, err := RunSuiteCtx(context.Background(), sampled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestSampledSuiteMatchesOneShotRuns(t *testing.T) {
 	ws := frontierWorkloads(t, "gzip", "mcf", "art", "twolf")
 	spec := sampling.Spec{RegionSize: 512, Fraction: 0.1, RegionWarmup: -1, FuncWarmup: 6000, Seed: 3}
 	opts := Options{Instructions: 20 * 512, Warmup: 2000, Workloads: ws, Sampling: &spec}
-	suite, err := RunSuite(opts)
+	suite, err := RunSuiteCtx(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestSamplingRefusesShortcut(t *testing.T) {
 		Sampling:     &sampling.Spec{},
 		Shortcut:     func(w workload.Workload) (sim.ComputeShortcut, error) { return nil, nil },
 	}
-	if _, err := RunSuite(opts); err == nil {
+	if _, err := RunSuiteCtx(context.Background(), opts); err == nil {
 		t.Fatal("sampling + shortcut must be rejected")
 	}
 }

@@ -1,14 +1,14 @@
 // Package methodology implements the simulation-methodology recipes
 // the paper recommends: the four-step parameter-selection workflow of
 // Section 4.1 (PB screening, then ANOVA sensitivity analysis over the
-// critical parameters), the benchmark-classification flow of Section
-// 4.2, and the before/after enhancement analysis of Section 4.3.
+// critical parameters) and the before/after enhancement analysis of
+// Section 4.3. The benchmark classification of Section 4.2 is package
+// cluster.
 package methodology
 
 import (
 	"fmt"
 
-	"pbsim/internal/cluster"
 	"pbsim/internal/pb"
 	"pbsim/internal/stats"
 )
@@ -23,17 +23,6 @@ type Screening struct {
 	Critical []int
 	// NonCritical holds the rest, in the sum-of-ranks order.
 	NonCritical []int
-}
-
-// Screen runs step 1 over a benchmark suite and cuts the factor list
-// at the sum-of-ranks significance gap, bounded by maxCritical (<= 0
-// means no bound).
-func Screen(factors []pb.Factor, benchmarks []string, responses []pb.Response, opts pb.Options, maxCritical int) (*Screening, error) {
-	suite, err := pb.RunSuite(factors, benchmarks, responses, opts)
-	if err != nil {
-		return nil, err
-	}
-	return ScreenFromSuite(suite, maxCritical), nil
 }
 
 // ScreenFromSuite applies the significance cut to an existing suite
@@ -104,33 +93,6 @@ func SensitivityAnalysis(numFactors int, critical []int, response pb.Response, b
 		return nil, err
 	}
 	return &Sensitivity{Factors: critical, ANOVA: anova}, nil
-}
-
-// Classification is the Section 4.2 flow: benchmarks grouped by the
-// similarity of their parameter-rank vectors.
-type Classification struct {
-	Matrix          *cluster.Matrix
-	Groups          [][]string
-	Representatives []string
-}
-
-// Classify builds the distance matrix from a suite's rank rows and
-// groups benchmarks under the given similarity threshold.
-func Classify(suite *pb.Suite, threshold float64) (*Classification, error) {
-	m, err := cluster.DistanceMatrix(suite.Benchmarks, suite.RankRows)
-	if err != nil {
-		return nil, err
-	}
-	groups := cluster.ThresholdGroups(m, threshold)
-	reps := cluster.Representatives(m, groups)
-	c := &Classification{
-		Matrix: m,
-		Groups: cluster.GroupNames(m, groups),
-	}
-	for _, r := range reps {
-		c.Representatives = append(c.Representatives, m.Names[r])
-	}
-	return c, nil
 }
 
 // EnhancementShift is one row of the Section 4.3 before/after

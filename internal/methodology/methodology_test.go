@@ -1,6 +1,7 @@
 package methodology
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -18,25 +19,32 @@ func syntheticFactors(n int) []pb.Factor {
 
 // weightedResponse returns a response with known factor weights and an
 // optional interaction between factors 0 and 1.
-func weightedResponse(weights []float64, interact float64) pb.Response {
-	return func(levels []pb.Level) float64 {
+func weightedResponse(weights []float64, interact float64) pb.FallibleResponse {
+	return func(_ context.Context, levels []pb.Level) (float64, error) {
 		y := 1000.0
 		for i, w := range weights {
 			y += w * float64(levels[i])
 		}
 		y += interact * float64(levels[0]) * float64(levels[1])
-		return y
+		return y, nil
 	}
+}
+
+// runSuite evaluates one response per benchmark over a shared design.
+func runSuite(t *testing.T, factors []pb.Factor, benchmarks []string, opts pb.Options, responses ...pb.FallibleResponse) *pb.Suite {
+	t.Helper()
+	suite, err := pb.RunSuiteCtx(context.Background(), factors, benchmarks, responses, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return suite
 }
 
 func TestScreenSeparatesCriticalFactors(t *testing.T) {
 	weights := []float64{100, 80, 60, 1, 0.5, 0.2, 0}
 	factors := syntheticFactors(len(weights))
 	resp := weightedResponse(weights, 0)
-	scr, err := Screen(factors, []string{"b1", "b2"}, []pb.Response{resp, resp}, pb.Options{Foldover: true}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scr := ScreenFromSuite(runSuite(t, factors, []string{"b1", "b2"}, pb.Options{Foldover: true}, resp, resp), 0)
 	if len(scr.Critical) == 0 {
 		t.Fatal("no critical factors found")
 	}
@@ -64,10 +72,7 @@ func TestScreenMaxCriticalBound(t *testing.T) {
 	weights := []float64{100, 80, 60, 40}
 	factors := syntheticFactors(len(weights))
 	resp := weightedResponse(weights, 0)
-	scr, err := Screen(factors, []string{"b"}, []pb.Response{resp}, pb.Options{Foldover: true}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scr := ScreenFromSuite(runSuite(t, factors, []string{"b"}, pb.Options{Foldover: true}, resp), 2)
 	if len(scr.Critical) > 2 {
 		t.Errorf("bound ignored: %v", scr.Critical)
 	}
@@ -75,9 +80,12 @@ func TestScreenMaxCriticalBound(t *testing.T) {
 
 func TestSensitivityAnalysisRecoversEffects(t *testing.T) {
 	weights := []float64{50, 30, 0, 0, 0}
-	resp := weightedResponse(weights, 10)
+	resp, respErr := weightedResponse(weights, 10).Infallible()
 	sens, err := SensitivityAnalysis(5, []int{0, 1}, resp, pb.Low)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := respErr(); err != nil {
 		t.Fatal(err)
 	}
 	main := sens.ANOVA.MainEffects()
@@ -108,7 +116,7 @@ func TestSensitivityAnalysisRecoversEffects(t *testing.T) {
 }
 
 func TestSensitivityAnalysisValidation(t *testing.T) {
-	resp := weightedResponse([]float64{1}, 0)
+	resp, _ := weightedResponse([]float64{1}, 0).Infallible()
 	if _, err := SensitivityAnalysis(5, nil, resp, pb.Low); err == nil {
 		t.Error("empty critical list accepted")
 	}
@@ -121,49 +129,11 @@ func TestSensitivityAnalysisValidation(t *testing.T) {
 	}
 }
 
-func TestClassify(t *testing.T) {
-	// Two benchmarks sensitive to the same factor group, one to a
-	// different one: expect two groups.
-	weights1 := []float64{100, 90, 1, 1}
-	weights2 := []float64{95, 85, 2, 1}
-	weights3 := []float64{1, 2, 100, 90}
-	factors := syntheticFactors(4)
-	suite, err := pb.RunSuite(factors,
-		[]string{"x1", "x2", "y"},
-		[]pb.Response{weightedResponse(weights1, 0), weightedResponse(weights2, 0), weightedResponse(weights3, 0)},
-		pb.Options{Foldover: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// x1 and x2 have identical rank vectors (distance 0); y differs.
-	c, err := Classify(suite, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Groups) != 2 {
-		t.Fatalf("groups = %v, want 2", c.Groups)
-	}
-	if len(c.Representatives) != 2 {
-		t.Errorf("representatives = %v", c.Representatives)
-	}
-	if len(c.Groups[0]) != 2 {
-		t.Errorf("first group should pair x1 and x2: %v", c.Groups)
-	}
-}
-
 func TestCompareEnhancement(t *testing.T) {
 	factors := syntheticFactors(3)
-	before, err := pb.RunSuite(factors, []string{"b"},
-		[]pb.Response{weightedResponse([]float64{100, 50, 10}, 0)}, pb.Options{Foldover: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := runSuite(t, factors, []string{"b"}, pb.Options{Foldover: true}, weightedResponse([]float64{100, 50, 10}, 0))
 	// The "enhancement" removes most of factor 1's influence.
-	after, err := pb.RunSuite(factors, []string{"b"},
-		[]pb.Response{weightedResponse([]float64{100, 2, 10}, 0)}, pb.Options{Foldover: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	after := runSuite(t, factors, []string{"b"}, pb.Options{Foldover: true}, weightedResponse([]float64{100, 2, 10}, 0))
 	shifts, err := CompareEnhancement(before, after)
 	if err != nil {
 		t.Fatal(err)
@@ -208,8 +178,8 @@ func TestCompareEnhancementMismatch(t *testing.T) {
 	fa := syntheticFactors(3)
 	fb := syntheticFactors(8)
 	resp := weightedResponse([]float64{1, 1, 1}, 0)
-	a, _ := pb.RunSuite(fa, []string{"b"}, []pb.Response{resp}, pb.Options{})
-	b, _ := pb.RunSuite(fb, []string{"b"}, []pb.Response{resp}, pb.Options{})
+	a := runSuite(t, fa, []string{"b"}, pb.Options{}, resp)
+	b := runSuite(t, fb, []string{"b"}, pb.Options{}, resp)
 	if _, err := CompareEnhancement(a, b); err == nil {
 		t.Error("mismatched suites accepted")
 	}

@@ -140,7 +140,7 @@ type designKey struct {
 
 // designMasters memoizes the flat matrix backing for each geometry.
 // PB matrices are deterministic functions of (X, foldover), and every
-// layer of the stack — RunSuite, the benchmark harness, all six CLIs —
+// layer of the stack — RunSuiteCtx, the benchmark harness, all six CLIs —
 // rebuilds the same few geometries over and over; the master copy is
 // built once and cloned on each request so callers still own (and may
 // mutate) their matrix.

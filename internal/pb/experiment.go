@@ -32,9 +32,10 @@ func Dummy(n int) Factor {
 // Response evaluates one design row: given the level of every factor
 // column it returns the measured response (in this paper, simulated
 // execution time in cycles). Implementations must be safe for
-// concurrent use; the runner fans rows out across goroutines.
+// concurrent use.
 //
-// Response is the legacy infallible form. New code should implement
+// Response is the infallible form the one-at-a-time and
+// full-factorial baselines take; PB experiments take a
 // FallibleResponse, which can report per-row errors and observe
 // cancellation instead of panicking.
 type Response func(levels []Level) float64
@@ -45,15 +46,6 @@ type Response func(levels []Level) float64
 // if retries are exhausted, aggregates into the experiment's error —
 // never into a silent NaN in the effects.
 type FallibleResponse func(ctx context.Context, levels []Level) (float64, error)
-
-// Fallible adapts a legacy infallible response to the fallible
-// interface.
-func (r Response) Fallible() FallibleResponse {
-	//pbcheck:ignore ctxflow a legacy infallible Response cannot observe cancellation; the adapter drops ctx by design
-	return func(_ context.Context, levels []Level) (float64, error) {
-		return r(levels), nil
-	}
-}
 
 // Infallible adapts a fallible response for infallible-only analyses
 // (the one-at-a-time and full-factorial baselines), which predate the
@@ -91,12 +83,10 @@ type Options struct {
 	// Foldover selects the 2X-run foldover design (the paper's
 	// recommendation); without it the basic X-run design is used.
 	Foldover bool
-	// Parallelism bounds the number of concurrently evaluated rows.
-	// Zero selects GOMAXPROCS. (Runner.Parallelism, when set, wins.)
-	Parallelism int
-	// Runner tunes fault tolerance: per-row timeout, retries with
-	// capped backoff, checkpointing, and fault injection. The zero
-	// value is a plain parallel evaluation.
+	// Runner tunes the row evaluation: parallelism, per-row timeout,
+	// retries with capped backoff, checkpointing, fault injection, and
+	// observation. The zero value is a plain parallel evaluation over
+	// GOMAXPROCS workers.
 	Runner runner.Config
 }
 
@@ -110,19 +100,11 @@ type Result struct {
 	Ranks     []int     // 1 = most significant, one per column
 }
 
-// Run executes a full Plackett-Burman experiment: it builds the
+// RunCtx executes a full Plackett-Burman experiment: it builds the
 // smallest design that can hold the factors, evaluates the response
-// for every configuration row (in parallel), and computes effects and
-// ranks. The factor list is padded with dummy factors up to the design
-// column count.
-//
-// Run is the legacy infallible entry point, a thin adapter over
-// RunCtx.
-func Run(factors []Factor, response Response, opts Options) (*Result, error) {
-	return RunCtx(context.Background(), factors, response.Fallible(), opts)
-}
-
-// RunCtx is the fault-tolerant form of Run.
+// for every configuration row through the resilient runner, and
+// computes effects and ranks. The factor list is padded with dummy
+// factors up to the design column count.
 func RunCtx(ctx context.Context, factors []Factor, response FallibleResponse, opts Options) (*Result, error) {
 	design, err := New(len(factors), opts.Foldover)
 	if err != nil {
@@ -131,66 +113,30 @@ func RunCtx(ctx context.Context, factors []Factor, response FallibleResponse, op
 	return RunWithDesignCtx(ctx, design, factors, response, opts)
 }
 
-// RunWithDesign is Run with a caller-supplied design, allowing one
-// design to be reused across benchmarks (as in Table 9, where the same
-// X=44 foldover design drives all 13 workloads).
-func RunWithDesign(design *Design, factors []Factor, response Response, opts Options) (*Result, error) {
-	return RunWithDesignCtx(context.Background(), design, factors, response.Fallible(), opts)
-}
-
-// RunWithDesignCtx is the fault-tolerant form of RunWithDesign.
+// RunWithDesignCtx is RunCtx with a caller-supplied design, allowing
+// one design to be reused across benchmarks (as in Table 9, where the
+// same X=44 foldover design drives all 13 workloads).
 func RunWithDesignCtx(ctx context.Context, design *Design, factors []Factor, response FallibleResponse, opts Options) (*Result, error) {
-	if len(factors) > design.Columns {
-		return nil, fmt.Errorf("pb: %d factors exceed the design's %d columns", len(factors), design.Columns)
-	}
-	padded := make([]Factor, design.Columns)
-	copy(padded, factors)
-	for i := len(factors); i < design.Columns; i++ {
-		padded[i] = Dummy(i - len(factors) + 1)
+	padded, err := pad(design, factors)
+	if err != nil {
+		return nil, err
 	}
 	responses, err := EvaluateRowsCtx(ctx, design, response, opts)
 	if err != nil {
 		return nil, err
 	}
-	effects, err := Effects(design, responses)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Design:    design,
-		Factors:   padded,
-		Responses: responses,
-		Effects:   effects,
-		Ranks:     Ranks(effects),
-	}, nil
-}
-
-// EvaluateRows computes the response of every design row using up to
-// parallelism goroutines (GOMAXPROCS when zero).
-//
-// It is the legacy infallible entry point, kept as a thin adapter
-// over the fault-tolerant runner: an infallible response cannot
-// error, so the only failure mode is a panic inside it, which the
-// runner recovers and EvaluateRows reports as an error — the same
-// error path every other entry point uses.
-func EvaluateRows(design *Design, response Response, parallelism int) ([]float64, error) {
-	return EvaluateRowsCtx(context.Background(), design, response.Fallible(),
-		Options{Parallelism: parallelism})
+	return newResult(design, padded, responses)
 }
 
 // EvaluateRowsCtx evaluates every design row through the resilient
 // runner: bounded parallelism, cancellation, per-row timeout, retry
 // with backoff, panic recovery, and checkpointing per opts.Runner.
 func EvaluateRowsCtx(ctx context.Context, design *Design, response FallibleResponse, opts Options) ([]float64, error) {
-	cfg := opts.Runner
-	if cfg.Parallelism == 0 {
-		cfg.Parallelism = opts.Parallelism
-	}
 	task := func(ctx context.Context, i int) (float64, error) {
 		return response(ctx, design.Row(i))
 	}
 	//pbcheck:ignore determinism runner.Evaluate's wall-clock reads feed latency metrics only; row values are bit-identical under Nop vs instrumented recorders (pinned by obs bit-identity tests)
-	return runner.Evaluate(ctx, design.Runs(), task, cfg)
+	return runner.Evaluate(ctx, design.Runs(), task, opts.Runner)
 }
 
 // Suite runs the same design over several named responses (one per
@@ -206,29 +152,13 @@ type Suite struct {
 	Order      []int     // factor indices by ascending sum
 }
 
-// RunSuite evaluates responses[bi] for every benchmark bi over a
-// shared design built for the given factors. It is the legacy
-// infallible entry point, a thin adapter over RunSuiteCtx.
-func RunSuite(factors []Factor, benchmarks []string, responses []Response, opts Options) (*Suite, error) {
-	fallible := make([]FallibleResponse, len(responses))
-	for i, r := range responses {
-		fallible[i] = r.Fallible()
-	}
-	return RunSuiteCtx(context.Background(), factors, benchmarks, fallible, opts)
-}
-
-// RunSuiteCtx is the fault-tolerant form of RunSuite: the context
-// cancels the whole suite, and opts.Runner adds timeouts, retries,
-// and checkpointing. Each benchmark's rows are checkpointed under a
-// scope derived from its name, so one checkpoint file resumes the
-// whole suite.
+// RunSuiteCtx evaluates responses[bi] for every benchmark bi over a
+// shared design built for the given factors. The context cancels the
+// whole suite, and opts.Runner adds timeouts, retries, and
+// checkpointing. Each benchmark's rows are checkpointed under a scope
+// derived from its name, so one checkpoint file resumes the whole
+// suite.
 func RunSuiteCtx(ctx context.Context, factors []Factor, benchmarks []string, responses []FallibleResponse, opts Options) (*Suite, error) {
-	if len(benchmarks) != len(responses) {
-		return nil, fmt.Errorf("pb: %d benchmark names but %d responses", len(benchmarks), len(responses))
-	}
-	if len(benchmarks) == 0 {
-		return nil, fmt.Errorf("pb: empty benchmark suite")
-	}
 	design, err := New(len(factors), opts.Foldover)
 	if err != nil {
 		return nil, err
@@ -238,20 +168,13 @@ func RunSuiteCtx(ctx context.Context, factors []Factor, benchmarks []string, res
 
 // RunSuiteWithDesignCtx is RunSuiteCtx with a caller-supplied design,
 // the form the experiment harness uses so it can fingerprint the
-// checkpoint before the first row runs.
+// checkpoint before the first row runs. It evaluates every
+// benchmark's rows, then assembles the suite with SuiteFromResponses.
 func RunSuiteWithDesignCtx(ctx context.Context, design *Design, factors []Factor, benchmarks []string, responses []FallibleResponse, opts Options) (*Suite, error) {
-	if len(benchmarks) != len(responses) {
-		return nil, fmt.Errorf("pb: %d benchmark names but %d responses", len(benchmarks), len(responses))
+	if _, err := checkSuite(design, factors, benchmarks, len(responses)); err != nil {
+		return nil, err
 	}
-	if len(benchmarks) == 0 {
-		return nil, fmt.Errorf("pb: empty benchmark suite")
-	}
-	s := &Suite{
-		Design:     design,
-		Benchmarks: benchmarks,
-		Results:    make([]*Result, len(benchmarks)),
-		RankRows:   make([][]int, len(benchmarks)),
-	}
+	vecs := make([][]float64, len(benchmarks))
 	baseScope := opts.Runner.Scope
 	for bi, resp := range responses {
 		bopts := opts
@@ -259,43 +182,26 @@ func RunSuiteWithDesignCtx(ctx context.Context, design *Design, factors []Factor
 		if baseScope != "" {
 			bopts.Runner.Scope = baseScope + "/" + benchmarks[bi]
 		}
-		res, err := RunWithDesignCtx(ctx, design, factors, resp, bopts)
+		vec, err := EvaluateRowsCtx(ctx, design, resp, bopts)
 		if err != nil {
 			return nil, fmt.Errorf("pb: benchmark %s: %w", benchmarks[bi], err)
 		}
-		s.Results[bi] = res
-		s.RankRows[bi] = res.Ranks
-		if s.Factors == nil {
-			s.Factors = res.Factors
-		}
+		vecs[bi] = vec
 	}
-	s.Sums = SumOfRanks(s.RankRows)
-	s.Order = OrderBySum(s.Sums)
-	return s, nil
+	return SuiteFromResponses(design, factors, benchmarks, vecs)
 }
 
-// SuiteFromResponses assembles a Suite from precomputed response
-// vectors — one dense vector of Design.Runs() values per benchmark —
-// instead of evaluating them. It is the analysis half of the
-// distributed execution split: workers (internal/runner/dist) produce
-// the vectors, a merge proves them complete and consistent, and this
-// function computes the identical effects, ranks, and sum-of-ranks
-// ordering a sequential RunSuiteWithDesignCtx call yields from the
-// same values.
+// SuiteFromResponses assembles a Suite from response vectors — one
+// dense vector of Design.Runs() values per benchmark: the effects,
+// ranks, and sum-of-ranks ordering of every suite are computed here.
+// RunSuiteWithDesignCtx feeds it the vectors it evaluated; the
+// distributed execution split feeds it the vectors its workers
+// (internal/runner/dist) produced and a merge proved complete and
+// consistent.
 func SuiteFromResponses(design *Design, factors []Factor, benchmarks []string, responses [][]float64) (*Suite, error) {
-	if len(benchmarks) != len(responses) {
-		return nil, fmt.Errorf("pb: %d benchmark names but %d response vectors", len(benchmarks), len(responses))
-	}
-	if len(benchmarks) == 0 {
-		return nil, fmt.Errorf("pb: empty benchmark suite")
-	}
-	if len(factors) > design.Columns {
-		return nil, fmt.Errorf("pb: %d factors exceed the design's %d columns", len(factors), design.Columns)
-	}
-	padded := make([]Factor, design.Columns)
-	copy(padded, factors)
-	for i := len(factors); i < design.Columns; i++ {
-		padded[i] = Dummy(i - len(factors) + 1)
+	padded, err := checkSuite(design, factors, benchmarks, len(responses))
+	if err != nil {
+		return nil, err
 	}
 	s := &Suite{
 		Design:     design,
@@ -308,20 +214,57 @@ func SuiteFromResponses(design *Design, factors []Factor, benchmarks []string, r
 		if len(vec) != design.Runs() {
 			return nil, fmt.Errorf("pb: benchmark %s has %d responses, design needs %d", benchmarks[bi], len(vec), design.Runs())
 		}
-		effects, err := Effects(design, vec)
+		res, err := newResult(design, padded, vec)
 		if err != nil {
 			return nil, fmt.Errorf("pb: benchmark %s: %w", benchmarks[bi], err)
 		}
-		s.Results[bi] = &Result{
-			Design:    design,
-			Factors:   padded,
-			Responses: vec,
-			Effects:   effects,
-			Ranks:     Ranks(effects),
-		}
-		s.RankRows[bi] = s.Results[bi].Ranks
+		s.Results[bi] = res
+		s.RankRows[bi] = res.Ranks
 	}
 	s.Sums = SumOfRanks(s.RankRows)
 	s.Order = OrderBySum(s.Sums)
 	return s, nil
+}
+
+// checkSuite rejects a malformed suite before any row is evaluated
+// (one response per benchmark, at least one benchmark, no more
+// factors than design columns) and returns the padded factor list.
+func checkSuite(design *Design, factors []Factor, benchmarks []string, responses int) ([]Factor, error) {
+	if len(benchmarks) != responses {
+		return nil, fmt.Errorf("pb: %d benchmark names but %d responses", len(benchmarks), responses)
+	}
+	if len(benchmarks) == 0 {
+		return nil, fmt.Errorf("pb: empty benchmark suite")
+	}
+	return pad(design, factors)
+}
+
+// pad returns the factor list padded with dummy factors up to the
+// design's column count.
+func pad(design *Design, factors []Factor) ([]Factor, error) {
+	if len(factors) > design.Columns {
+		return nil, fmt.Errorf("pb: %d factors exceed the design's %d columns", len(factors), design.Columns)
+	}
+	padded := make([]Factor, design.Columns)
+	copy(padded, factors)
+	for i := len(factors); i < design.Columns; i++ {
+		padded[i] = Dummy(i - len(factors) + 1)
+	}
+	return padded, nil
+}
+
+// newResult computes the effects and ranks of one benchmark's
+// responses.
+func newResult(design *Design, padded []Factor, responses []float64) (*Result, error) {
+	effects, err := Effects(design, responses)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Design:    design,
+		Factors:   padded,
+		Responses: responses,
+		Effects:   effects,
+		Ranks:     Ranks(effects),
+	}, nil
 }

@@ -1,6 +1,7 @@
 package pb
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 )
@@ -11,10 +12,10 @@ func TestRunIdentifiesSignificantFactors(t *testing.T) {
 		{Name: "small", Low: "off", High: "on"},
 		{Name: "inert", Low: "off", High: "on"},
 	}
-	response := func(levels []Level) float64 {
-		return 1000 + 50*float64(levels[0]) + 5*float64(levels[1])
+	response := func(_ context.Context, levels []Level) (float64, error) {
+		return 1000 + 50*float64(levels[0]) + 5*float64(levels[1]), nil
 	}
-	res, err := Run(factors, response, Options{Foldover: true})
+	res, err := RunCtx(context.Background(), factors, response, Options{Foldover: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestRunIdentifiesSignificantFactors(t *testing.T) {
 
 func TestRunPadsWithDummies(t *testing.T) {
 	factors := []Factor{{Name: "only", Low: "l", High: "h"}}
-	res, err := Run(factors, func([]Level) float64 { return 1 }, Options{})
+	res, err := RunCtx(context.Background(), factors, constant(1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,25 +50,35 @@ func TestRunPadsWithDummies(t *testing.T) {
 func TestRunWithDesignRejectsOverflow(t *testing.T) {
 	d, _ := NewWithSize(4, false)
 	factors := make([]Factor, 5)
-	if _, err := RunWithDesign(d, factors, func([]Level) float64 { return 0 }, Options{}); err == nil {
+	var calls atomic.Int64
+	resp := func(context.Context, []Level) (float64, error) {
+		calls.Add(1)
+		return 0, nil
+	}
+	if _, err := RunWithDesignCtx(context.Background(), d, factors, resp, Options{}); err == nil {
 		t.Error("expected error when factors exceed design columns")
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("%d rows simulated before the factor-count check", n)
 	}
 }
 
 func TestEvaluateRowsCoversEveryRowOnce(t *testing.T) {
 	d, _ := NewWithSize(12, true)
 	var calls int64
-	resp := func(levels []Level) float64 {
+	resp := func(_ context.Context, levels []Level) (float64, error) {
 		atomic.AddInt64(&calls, 1)
 		s := 0.0
 		for _, lv := range levels {
 			s += float64(lv)
 		}
-		return s
+		return s, nil
 	}
 	for _, par := range []int{0, 1, 3, 64} {
 		atomic.StoreInt64(&calls, 0)
-		got, err := EvaluateRows(d, resp, par)
+		opts := Options{}
+		opts.Runner.Parallelism = par
+		got, err := EvaluateRowsCtx(context.Background(), d, resp, opts)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -91,9 +102,9 @@ func TestRunSuite(t *testing.T) {
 		{Name: "A"}, {Name: "B"}, {Name: "C"},
 	}
 	// Two "benchmarks" that are sensitive to different factors.
-	respA := func(levels []Level) float64 { return 10 * float64(levels[0]) }
-	respB := func(levels []Level) float64 { return 10 * float64(levels[1]) }
-	suite, err := RunSuite(factors, []string{"ba", "bb"}, []Response{respA, respB}, Options{Foldover: true})
+	respA := func(_ context.Context, levels []Level) (float64, error) { return 10 * float64(levels[0]), nil }
+	respB := func(_ context.Context, levels []Level) (float64, error) { return 10 * float64(levels[1]), nil }
+	suite, err := RunSuiteCtx(context.Background(), factors, []string{"ba", "bb"}, []FallibleResponse{respA, respB}, Options{Foldover: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,12 +131,31 @@ func TestRunSuite(t *testing.T) {
 }
 
 func TestRunSuiteValidation(t *testing.T) {
-	if _, err := RunSuite(nil, []string{"x"}, nil, Options{}); err == nil {
+	ctx := context.Background()
+	if _, err := RunSuiteCtx(ctx, nil, []string{"x"}, nil, Options{}); err == nil {
 		t.Error("mismatched benchmark/response lengths should fail")
 	}
-	if _, err := RunSuite([]Factor{{Name: "A"}}, nil, nil, Options{}); err == nil {
+	if _, err := RunSuiteCtx(ctx, []Factor{{Name: "A"}}, nil, nil, Options{}); err == nil {
 		t.Error("empty suite should fail")
 	}
+	// The factor-count check runs before any row is simulated.
+	d, _ := NewWithSize(4, false)
+	var calls atomic.Int64
+	resp := func(context.Context, []Level) (float64, error) {
+		calls.Add(1)
+		return 0, nil
+	}
+	if _, err := RunSuiteWithDesignCtx(ctx, d, make([]Factor, 5), []string{"x"}, []FallibleResponse{resp}, Options{}); err == nil {
+		t.Error("factors exceeding the design's columns should fail")
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("%d rows simulated before the factor-count check", n)
+	}
+}
+
+// constant is a response that ignores its levels.
+func constant(v float64) FallibleResponse {
+	return func(context.Context, []Level) (float64, error) { return v, nil }
 }
 
 func TestDummyFactor(t *testing.T) {

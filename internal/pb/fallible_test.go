@@ -40,7 +40,8 @@ func suiteFixture() ([]Factor, []string, []FallibleResponse) {
 // sums compared to an uninterrupted run.
 func TestSuiteCheckpointResumeBitIdentical(t *testing.T) {
 	factors, benchmarks, responses := suiteFixture()
-	opts := Options{Foldover: true, Parallelism: 2}
+	opts := Options{Foldover: true}
+	opts.Runner.Parallelism = 2
 
 	// Reference: uninterrupted, no checkpoint.
 	want, err := RunSuiteCtx(context.Background(), factors, benchmarks, responses, opts)
@@ -195,7 +196,9 @@ func TestSuiteCancellation(t *testing.T) {
 			return resp(ctx, levels)
 		}
 	}
-	_, err := RunSuiteCtx(ctx, factors, benchmarks, gated, Options{Foldover: true, Parallelism: 2})
+	opts := Options{Foldover: true}
+	opts.Runner.Parallelism = 2
+	_, err := RunSuiteCtx(ctx, factors, benchmarks, gated, opts)
 	if err == nil {
 		t.Fatal("cancelled suite succeeded")
 	}
@@ -234,23 +237,16 @@ func TestSuiteNeverSilentNaN(t *testing.T) {
 	}
 }
 
-// Legacy adapters must behave exactly as before.
-func TestLegacyAdapters(t *testing.T) {
-	factors := []Factor{{Name: "A"}, {Name: "B"}}
-	resp := func(levels []Level) float64 { return 10 + float64(levels[0]) }
-	res, err := Run(factors, resp, Options{Foldover: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ranks[0] != 1 {
-		t.Errorf("rank(A) = %d", res.Ranks[0])
-	}
-	// A panicking infallible response surfaces as an error from the
-	// legacy entry point: the runner recovers the panic and routes it
-	// through the same error path as every other failure.
+// A panicking response surfaces as an error naming its cause: the
+// runner recovers the panic and routes it through the same error path
+// as every other failure.
+func TestPanickingResponseSurfacesAsError(t *testing.T) {
 	d, _ := NewWithSize(4, false)
-	if _, err := EvaluateRows(d, func([]Level) float64 { panic("boom") }, 1); err == nil {
-		t.Error("legacy EvaluateRows swallowed the response panic")
+	boom := func(context.Context, []Level) (float64, error) { panic("boom") }
+	opts := Options{}
+	opts.Runner.Parallelism = 1
+	if _, err := EvaluateRowsCtx(context.Background(), d, boom, opts); err == nil {
+		t.Error("EvaluateRowsCtx swallowed the response panic")
 	} else if !strings.Contains(err.Error(), "boom") {
 		t.Errorf("panic cause lost from error: %v", err)
 	}

@@ -58,31 +58,3 @@ func AnalyzeFoldover(d *Design, responses []float64) (*FoldoverAnalysis, error) 
 	}
 	return a, nil
 }
-
-// InteractionHeavy reports the columns whose aliased-interaction
-// magnitude exceeds frac times the largest main-effect magnitude: the
-// parameters whose basic-design estimates would have been distorted
-// most, and therefore candidates for a follow-up full factorial (the
-// paper's step 3).
-func (a *FoldoverAnalysis) InteractionHeavy(frac float64) []int {
-	maxMain := 0.0
-	for _, m := range a.Main {
-		if v := absf(m); v > maxMain {
-			maxMain = v
-		}
-	}
-	var out []int
-	for j, ia := range a.AliasedInteractions {
-		if absf(ia) > frac*maxMain {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}

@@ -46,10 +46,6 @@ func TestAnalyzeFoldoverSeparatesMainFromInteraction(t *testing.T) {
 	if total == 0 {
 		t.Fatal("interaction invisible to the foldover analysis")
 	}
-	heavy := a.InteractionHeavy(0.1)
-	if len(heavy) == 0 {
-		t.Error("InteractionHeavy found nothing despite a strong interaction")
-	}
 }
 
 func TestAnalyzeFoldoverPureMainEffects(t *testing.T) {
@@ -68,9 +64,6 @@ func TestAnalyzeFoldoverPureMainEffects(t *testing.T) {
 	}
 	if math.Abs(a.Main[0]-3*float64(d.Runs())) > 1e-9 {
 		t.Errorf("main[0] = %g", a.Main[0])
-	}
-	if len(a.InteractionHeavy(0.05)) != 0 {
-		t.Error("InteractionHeavy false positive")
 	}
 }
 

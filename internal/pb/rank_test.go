@@ -92,18 +92,3 @@ func TestSignificanceGap(t *testing.T) {
 		t.Errorf("SignificanceGap(short) = %d, want 2", got)
 	}
 }
-
-func TestRankShift(t *testing.T) {
-	before := []int{118, 36, 52}
-	after := []int{137, 36, 52}
-	shift := RankShift(before, after)
-	want := []int{19, 0, 0}
-	for j := range want {
-		if shift[j] != want[j] {
-			t.Errorf("shift[%d] = %d, want %d", j, shift[j], want[j])
-		}
-	}
-	if got := RankShift([]int{1, 2, 3}, []int{4}); len(got) != 1 || got[0] != 3 {
-		t.Errorf("RankShift length mismatch handling: %v", got)
-	}
-}

@@ -1,6 +1,7 @@
 package pb
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -19,20 +20,20 @@ func TestSuiteFromResponsesMatchesRunSuite(t *testing.T) {
 		{1, 8, 0.5, 3, 6, 0.125, 2},
 	}
 	benchmarks := []string{"b0", "b1"}
-	responses := make([]Response, len(benchmarks))
+	responses := make([]FallibleResponse, len(benchmarks))
 	for bi := range benchmarks {
 		w := weights[bi]
-		responses[bi] = func(levels []Level) float64 {
+		responses[bi] = func(_ context.Context, levels []Level) (float64, error) {
 			v := 100.0
 			for i, lv := range levels {
 				if i < len(w) && lv == High {
 					v += w[i]
 				}
 			}
-			return v / 3.0 // not exactly representable: bit-identity is meaningful
+			return v / 3.0, nil // not exactly representable: bit-identity is meaningful
 		}
 	}
-	want, err := RunSuite(factors, benchmarks, responses, Options{Foldover: true})
+	want, err := RunSuiteCtx(context.Background(), factors, benchmarks, responses, Options{Foldover: true})
 	if err != nil {
 		t.Fatal(err)
 	}

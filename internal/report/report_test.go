@@ -92,9 +92,13 @@ func TestParameterValues(t *testing.T) {
 func suiteForTest(t *testing.T) *pb.Suite {
 	t.Helper()
 	factors := []pb.Factor{{Name: "A"}, {Name: "B"}, {Name: "C"}}
-	resp1 := func(l []pb.Level) float64 { return 100*float64(l[0]) + 10*float64(l[1]) }
-	resp2 := func(l []pb.Level) float64 { return 100*float64(l[1]) + 10*float64(l[2]) }
-	suite, err := pb.RunSuite(factors, []string{"w1", "w2"}, []pb.Response{resp1, resp2}, pb.Options{Foldover: true})
+	resp1 := func(_ context.Context, l []pb.Level) (float64, error) {
+		return 100*float64(l[0]) + 10*float64(l[1]), nil
+	}
+	resp2 := func(_ context.Context, l []pb.Level) (float64, error) {
+		return 100*float64(l[1]) + 10*float64(l[2]), nil
+	}
+	suite, err := pb.RunSuiteCtx(context.Background(), factors, []string{"w1", "w2"}, []pb.FallibleResponse{resp1, resp2}, pb.Options{Foldover: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -439,10 +439,7 @@ func TestRunWorkerCompletesCampaign(t *testing.T) {
 	if stats.Committed != 7 || stats.Claimed != 7 || stats.Stolen != 0 || stats.Crashed {
 		t.Fatalf("stats = %+v, want 7 committed, 7 claimed", stats)
 	}
-	res, err := MergeDir(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := openMerge(t, dir)
 	if !res.Complete() || res.Duplicates != 0 {
 		t.Fatalf("merge after solo worker: %+v", res)
 	}
@@ -493,10 +490,7 @@ func TestRunWorkerPermanentFailure(t *testing.T) {
 	if stats.Committed != 6 {
 		t.Fatalf("committed %d healthy units, want 6", stats.Committed)
 	}
-	res, err := MergeDir(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := openMerge(t, dir)
 	if len(res.Missing) != 1 || res.Missing[0] != (Unit{Scope: "beta", Row: 1}) {
 		t.Fatalf("Missing = %+v, want beta/1", res.Missing)
 	}
@@ -551,10 +545,7 @@ func TestRunWorkerCrashLeavesLeaseAndResumeSteals(t *testing.T) {
 	if stats2.Stolen == 0 {
 		t.Fatalf("second worker stole nothing: %+v", stats2)
 	}
-	res, err := MergeDir(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := openMerge(t, dir)
 	if !res.Complete() {
 		t.Fatalf("campaign incomplete after resume: missing %v", res.Missing)
 	}
@@ -675,10 +666,7 @@ func TestHammerConcurrentWorkers(t *testing.T) {
 		return
 	}
 
-	res, err := MergeDir(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := openMerge(t, dir)
 	if !res.Complete() {
 		t.Fatalf("hammered campaign incomplete: missing %v", res.Missing)
 	}
@@ -705,4 +693,18 @@ func TestRotationStable(t *testing.T) {
 	if r := rotation("worker-7", 13); r < 0 || r >= 13 {
 		t.Fatalf("rotation out of range: %d", r)
 	}
+}
+
+// openMerge opens the campaign at dir and merges its shards.
+func openMerge(t *testing.T, dir string) *MergeResult {
+	t.Helper()
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Merge(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

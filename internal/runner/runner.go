@@ -51,8 +51,10 @@ type Config struct {
 	Parallelism int
 	// Retries is the number of extra attempts after the first; a row
 	// is failed permanently once 1+Retries attempts have errored.
+	// Negative values are rejected.
 	Retries int
-	// Timeout bounds each attempt; zero means no per-attempt deadline.
+	// Timeout bounds each attempt; zero means no per-attempt deadline
+	// and negative values are rejected.
 	// Enforcement is cooperative: the attempt's context expires and
 	// the task is expected to notice.
 	Timeout time.Duration
@@ -76,11 +78,6 @@ type Config struct {
 	// Wrap, when non-nil, decorates the task before evaluation; it is
 	// the hook the fault-injection harness (Faults.Wrap) plugs into.
 	Wrap func(Task) Task
-	// OnRetry, when non-nil, is called before each backoff sleep.
-	OnRetry func(scope string, row, attempt int, delay time.Duration, err error)
-	// OnRow, when non-nil, is called after each row completes,
-	// including rows restored from the checkpoint.
-	OnRow func(scope string, row int, value float64, fromCheckpoint bool)
 	// Recorder, when non-nil, observes the evaluation: run start and
 	// finish, per-row queue wait, worker occupancy, per-attempt
 	// latency with classified outcome (error/panic/timeout), retries,
@@ -167,6 +164,12 @@ func Evaluate(ctx context.Context, n int, task Task, cfg Config) ([]float64, err
 	if n < 0 {
 		return nil, fmt.Errorf("runner: negative row count %d", n)
 	}
+	if cfg.Retries < 0 {
+		return nil, fmt.Errorf("runner: negative Retries %d", cfg.Retries)
+	}
+	if cfg.Timeout < 0 {
+		return nil, fmt.Errorf("runner: negative Timeout %v", cfg.Timeout)
+	}
 	parallelism := cfg.Parallelism
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
@@ -228,9 +231,6 @@ func Evaluate(ctx context.Context, n int, task Task, cfg Config) ([]float64, err
 						responses[i] = v
 						rec.RowFinished(cfg.Scope, i, v, 0, 0, true)
 						rec.WorkerActive(-1)
-						if cfg.OnRow != nil {
-							cfg.OnRow(cfg.Scope, i, v, true)
-						}
 						continue
 					}
 				}
@@ -267,9 +267,6 @@ func Evaluate(ctx context.Context, n int, task Task, cfg Config) ([]float64, err
 				}
 				rec.RowFinished(cfg.Scope, i, v, rowLatency, attempts, false)
 				rec.WorkerActive(-1)
-				if cfg.OnRow != nil {
-					cfg.OnRow(cfg.Scope, i, v, false)
-				}
 			}
 		}()
 	}
@@ -317,9 +314,6 @@ func evaluateRow(ctx context.Context, task Task, row int, cfg Config, rec obs.Re
 		}
 		delay := backoffDelay(cfg, row, attempt)
 		rec.RowRetried(cfg.Scope, row, attempt+1, delay, err)
-		if cfg.OnRetry != nil {
-			cfg.OnRetry(cfg.Scope, row, attempt+1, delay, err)
-		}
 		if cfg.sleep(ctx, delay) != nil {
 			break // cancelled during backoff
 		}

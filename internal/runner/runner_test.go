@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -289,3 +290,34 @@ func TestTimeoutRetries(t *testing.T) {
 }
 
 func noSleep(ctx context.Context, _ time.Duration) error { return ctx.Err() }
+
+// A negative Retries or Timeout is a configuration error: Evaluate
+// rejects it, naming the field, before any row runs.
+func TestEvaluateRejectsNegativeConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		field string
+	}{
+		{"retries", Config{Retries: -1}, "Retries"},
+		{"timeout", Config{Timeout: -time.Second}, "Timeout"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls atomic.Int64
+			task := func(context.Context, int) (float64, error) {
+				calls.Add(1)
+				return 1, nil
+			}
+			_, err := Evaluate(context.Background(), 4, task, tc.cfg)
+			if err == nil {
+				t.Fatal("negative configuration accepted")
+			}
+			if msg := err.Error(); !strings.HasPrefix(msg, "runner: ") || !strings.Contains(msg, tc.field) {
+				t.Errorf("error %q does not name the runner field %s", msg, tc.field)
+			}
+			if n := calls.Load(); n != 0 {
+				t.Errorf("%d rows ran before the configuration was rejected", n)
+			}
+		})
+	}
+}
