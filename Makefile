@@ -10,7 +10,7 @@ BENCHTIME ?= 2x
 BENCHCOUNT ?= 5
 BENCHFLAGS = -run='^$$' -bench=. -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) .
 
-.PHONY: all build vet fmt-check lint lint-new lint-baseline test race race-hammer short examples bench bench-layers bench-baseline bench-check check cover chaos assess frontier
+.PHONY: all build vet fmt-check lint test race race-hammer short examples bench bench-layers bench-baseline bench-check check cover chaos assess frontier
 
 all: check
 
@@ -26,27 +26,13 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # pbcheck is the repository's own stdlib-only static-analysis suite
-# (see internal/analysis): determinism, nopanic, floateq, errdiscard,
-# ctxflow, hotalloc, locksafe, leakygo, purity, lockflow, errflow,
-# racecheck, chansafe — interprocedural via a module-wide call-graph
-# fact fixpoint plus an Andersen points-to/escape solve, with the last
-# four flow-sensitive over a per-function CFG. Exit 1 means an
-# unsuppressed finding; waivers need a reasoned //pbcheck:ignore.
+# (see internal/analysis): determinism, floateq, errdiscard, ctxflow,
+# hotalloc, leakygo, purity, errflow — interprocedural via a
+# module-wide call-graph fact fixpoint, with errflow flow-sensitive
+# over a per-function CFG. Exit 1 means an unsuppressed finding;
+# waivers need a reasoned //pbcheck:ignore.
 lint:
 	$(GO) run ./cmd/pbcheck ./...
-
-# lint-new is the findings ratchet: it fails only on findings whose
-# position-independent fingerprint (rule + package + function +
-# message) is absent from the committed baseline, so new debt is
-# blocked while recorded debt stays visible without breaking builds.
-lint-new:
-	$(GO) run ./cmd/pbcheck -baseline pbcheck-baseline.json ./...
-
-# lint-baseline refreshes the committed baseline. Only run it after
-# deliberately accepting a finding as recorded debt — the reviewed
-# diff of pbcheck-baseline.json IS the acceptance.
-lint-baseline:
-	$(GO) run ./cmd/pbcheck -write-baseline pbcheck-baseline.json ./...
 
 test:
 	$(GO) test ./...
@@ -57,8 +43,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-# race-hammer is the dynamic complement to the static racecheck rule:
-# it repeats the concurrent substrate's tests (runner fan-out,
+# race-hammer is the repository's data-race gate: it repeats the concurrent substrate's tests (runner fan-out,
 # distributed leases/ledgers, observability, sampling) under the race
 # detector with -count=3 so scheduling-dependent interleavings that a
 # single pass can miss get three chances to bite. The log lands in
@@ -154,4 +139,4 @@ assess:
 	mkdir -p $(ASSESS_ARTIFACTS)
 	$(GO) run ./cmd/pbassess $(ASSESS_FLAGS) -json-out $(ASSESS_ARTIFACTS)/trust.json | tee $(ASSESS_ARTIFACTS)/trust.txt
 
-check: build vet fmt-check lint lint-new race
+check: build vet fmt-check lint race

@@ -1,20 +1,18 @@
-// Command pbcheck runs the project's static-analysis suite: thirteen
+// Command pbcheck runs the project's static-analysis suite: eight
 // analyzers enforcing the reproducibility invariants the PB
-// methodology depends on (determinism, nopanic, floateq, errdiscard,
-// ctxflow, hotalloc, locksafe, leakygo, purity, lockflow, errflow,
-// racecheck, chansafe), built purely on the standard library's
-// go/parser + go/types. Analysis is interprocedural: a module-wide
-// call graph propagates nondeterminism/panic/allocation/write-effect
-// facts to fixpoint before any rule runs, so a sink laundered through
-// helper calls and package boundaries is still found, and a
-// module-wide Andersen points-to/escape solve feeds alias-aware
-// ownership and goroutine-sharing queries. The purity rule
-// additionally consumes //pbcheck:pure markers, and
-// lockflow/errflow/racecheck/chansafe are flow-sensitive: they solve
-// dataflow problems over a per-function CFG instead of
-// pattern-matching statements. Rule execution fans packages out over
-// a bounded worker pool (-workers) with byte-identical output at any
-// parallelism.
+// methodology depends on (determinism, floateq, errdiscard, ctxflow,
+// hotalloc, leakygo, purity, errflow), built purely on the standard
+// library's go/parser + go/types. Each stays because it catches a
+// seeded defect no other gate catches (see the corpus in
+// EXPERIMENTS.md). Analysis is interprocedural: a module-wide call
+// graph propagates nondeterminism/allocation/write-effect facts to
+// fixpoint before any rule runs, so a sink laundered through helper
+// calls and package boundaries is still found. The hotalloc and
+// purity rules consume //pbcheck:hotpath and //pbcheck:pure markers,
+// and errflow is flow-sensitive: it solves a dataflow problem over a
+// per-function CFG instead of pattern-matching statements. Rule
+// execution fans packages out over one worker per CPU with
+// byte-identical output at any parallelism.
 //
 // Usage:
 //
@@ -25,15 +23,13 @@
 //
 // Exit codes: 0 clean, 1 findings, 2 load/usage error — suitable for
 // CI gates. Findings are waived per line with
-// //pbcheck:ignore <rule> <reason>; the reason is mandatory. With
-// -baseline, findings whose position-independent fingerprint appears
-// in the baseline file are reported but do not affect the exit code:
-// the ratchet fails only on NEW findings.
+// //pbcheck:ignore <rule> <reason>; the reason is mandatory.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"pbsim/internal/analysis"
@@ -44,31 +40,22 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr *os.File) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("pbcheck", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
 		jsonOut    = fs.Bool("json", false, "emit the full diagnostic report (suppressed findings included) as JSON")
 		mdOut      = fs.Bool("md", false, "emit a markdown findings/waiver summary (for CI step summaries)")
 		list       = fs.Bool("list", false, "list the analyzers and the invariant each enforces, then exit")
-		ruleList   = fs.String("rules", "", "comma-separated subset of rules to run (default: all)")
 		tests      = fs.Bool("tests", false, "also analyze _test.go files of each package")
 		suppressed = fs.Bool("suppressed", false, "show suppressed findings (with their reasons) in plain output")
 		dir        = fs.String("C", ".", "directory whose enclosing module to analyze")
-		baseline   = fs.String("baseline", "", "baseline file: findings fingerprinted there are reported but do not fail the run")
-		writeBase  = fs.String("write-baseline", "", "write the current unsuppressed findings to this baseline file and exit 0")
 		statsOut   = fs.Bool("stats", false, "append per-rule wall time and finding counts to the report (all output modes)")
-		workers    = fs.Int("workers", analysis.DefaultWorkers(), "packages analyzed concurrently in the rule phase (1 = sequential; output is identical at any value)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	selected, unknown := rules.Select(*ruleList)
-	if len(unknown) > 0 {
-		fmt.Fprintf(stderr, "pbcheck: unknown rule(s) %v; run pbcheck -list\n", unknown)
-		return 2
-	}
 	if *list {
 		for _, a := range rules.All() {
 			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
@@ -95,30 +82,13 @@ func run(args []string, stdout, stderr *os.File) int {
 	// The loader's universe includes every module dependency pulled in
 	// while type-checking the selected packages; the fact engine needs
 	// those bodies even though they are not analyzed for reporting.
-	diags, stats, err := analysis.RunUniverseTimedWorkers(pkgs, loader.Universe(), selected, *workers)
+	diags, stats, err := analysis.RunUniverseTimedWorkers(pkgs, loader.Universe(), rules.All(), analysis.DefaultWorkers())
 	if err != nil {
 		fmt.Fprintf(stderr, "pbcheck: %v\n", err)
 		return 2
 	}
 	if !*statsOut {
 		stats = nil
-	}
-
-	if *writeBase != "" {
-		if err := analysis.WriteBaseline(*writeBase, diags); err != nil {
-			fmt.Fprintf(stderr, "pbcheck: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "pbcheck: wrote baseline %s\n", *writeBase)
-		return 0
-	}
-	if *baseline != "" {
-		set, err := analysis.LoadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintf(stderr, "pbcheck: %v\n", err)
-			return 2
-		}
-		analysis.ApplyBaseline(diags, set)
 	}
 
 	switch {

@@ -9,7 +9,7 @@ package analysis
 // site, computes per-function seed facts, and propagates them to
 // fixpoint. Phase 2 hands the resulting FactIndex to every Pass, so a
 // rule can ask "does this callee, wherever it lives, transitively
-// reach a wall-clock read / a panic / a heap allocation?" instead of
+// reach a wall-clock read / a heap allocation?" instead of
 // pattern-matching the sink in the package under analysis.
 //
 // Call resolution is deliberately layered by confidence:
@@ -28,14 +28,14 @@ package analysis
 //     unknown, recorded as FactUnknownCallee and propagated like any
 //     other fact. Rules that must *prove* a property (hotalloc's
 //     transitive 0-alloc) treat unknown as a finding; rules that
-//     report *established* misbehaviour (determinism, nopanic) do not
+//     report *established* misbehaviour (determinism) do not
 //     report unknowns, mirroring the rest of the suite's
 //     zero-false-positive bias.
 //
 // Suppressions participate in fact generation: a sink carrying a
 // reasoned //pbcheck:ignore for the owning rule does not seed its
 // fact. A waiver is a reviewed claim that the invariant holds at that
-// site (an unreachable guard panic, a sanctioned exact comparison), so
+// site (a wall-clock read that feeds only observability), so
 // propagating the fact anyway would force every transitive caller to
 // re-argue the same waiver.
 
@@ -46,9 +46,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"time"
-
-	"pbsim/internal/analysis/pointsto"
 )
 
 // A Fact is one propagated per-function property.
@@ -59,9 +56,6 @@ const (
 	// nondeterminism sink: wall-clock reads, the global math/rand
 	// source, or process-environment reads.
 	FactNondet Fact = iota
-	// FactMayPanic marks functions that transitively contain an
-	// unwaived panic call.
-	FactMayPanic
 	// FactAllocates marks functions that transitively perform a
 	// steady-state heap allocation (see the gen set in scanFunc).
 	FactAllocates
@@ -78,13 +72,6 @@ const (
 	// allocated itself (see ownedLocals) — carry no fact: they die
 	// with the frame.
 	FactWritesState
-	// FactSpawned marks functions that can run on a spawned goroutine:
-	// the direct target of a go statement, a function called from a
-	// go'd function literal, or any transitive callee of either. It
-	// propagates caller→callee — the reverse of every other fact —
-	// because running on a goroutine is a property of the execution
-	// context, not of the body.
-	FactSpawned
 
 	numFacts
 )
@@ -123,11 +110,10 @@ const PureMarker = "pbcheck:pure"
 
 // Rule names whose waivers cut fact generation. They live here rather
 // than in the rules package because the engine must honor them while
-// seeding facts, before any analyzer runs; the rules package asserts
-// at registration time that its analyzers use the same names.
+// seeding facts, before any analyzer runs; the analyzers take their
+// names from these constants.
 const (
 	RuleDeterminism = "determinism"
-	RuleNoPanic     = "nopanic"
 	RuleHotAlloc    = "hotalloc"
 	RulePurity      = "purity"
 )
@@ -161,10 +147,6 @@ type FuncInfo struct {
 	// ("trace.Generator.Next → make").
 	why [numFacts]string
 
-	// spawn identifies the go statement behind FactSpawned (the
-	// deterministically first one to reach this function).
-	spawn *pointsto.Spawn
-
 	edges []calleeEdge
 }
 
@@ -174,10 +156,6 @@ func (fi *FuncInfo) Facts() FactSet { return fi.facts }
 // Why returns the chain explaining how the function acquired f
 // ("" when the fact is absent).
 func (fi *FuncInfo) Why(f Fact) string { return fi.why[f] }
-
-// SpawnedBy returns the go statement that makes this function run on
-// a spawned goroutine, or nil when FactSpawned is absent.
-func (fi *FuncInfo) SpawnedBy() *pointsto.Spawn { return fi.spawn }
 
 // DisplayName returns the short package-qualified name used in
 // diagnostics: "trace.Generator.Next", "stats.Mean".
@@ -219,25 +197,11 @@ type FactIndex struct {
 	// definition.
 	analyzed map[string]bool
 
-	// pts is the module-wide points-to/escape analysis (see the
-	// pointsto package), computed once per BuildFacts over the same
-	// universe as the call graph; ptsTime is its wall time, surfaced
-	// by -stats.
-	pts     *pointsto.Result
-	ptsTime time.Duration
-
 	// sups tracks which waiver lines actually cut a fact during
 	// seeding; the stale-waiver check in the driver consults it before
 	// declaring a suppression dead.
 	sups *suppressionIndex
 }
-
-// PointsTo returns the module-wide points-to/escape result. Never nil
-// after BuildFacts.
-func (x *FactIndex) PointsTo() *pointsto.Result { return x.pts }
-
-// PointsToTime returns the wall time the points-to fixpoint took.
-func (x *FactIndex) PointsToTime() time.Duration { return x.ptsTime }
 
 // WaiverUsedAt reports whether the waiver for rule on the given line
 // cut at least one fact during seeding.
@@ -298,7 +262,7 @@ func (x *FactIndex) Orphans(pkgPath, marker string) []token.Pos {
 func (x *FactIndex) IsAnalyzed(pkgPath string) bool { return x.analyzed[pkgPath] }
 
 // pureForeign lists foreign packages whose functions are known to be
-// deterministic, panic-free on valid input, and allocation-free:
+// deterministic and allocation-free:
 // calling into them does not taint the caller with FactUnknownCallee.
 var pureForeign = map[string]bool{
 	"math":      true,
@@ -395,24 +359,6 @@ func BuildFacts(universe []*Package, known map[string]bool) *FactIndex {
 		b.collectTypes(pkg)
 		b.collectFuncs(pkg)
 	}
-
-	// The alias layer: one Andersen fixpoint over the same universe,
-	// before seed scanning so the write-effect fact can consult
-	// points-to ownership.
-	ptsStart := time.Now()
-	units := make([]*pointsto.Unit, 0, len(b.pkgs))
-	for _, pkg := range b.pkgs {
-		units = append(units, &pointsto.Unit{
-			Path:  pkg.Path,
-			Name:  pkg.Name,
-			Fset:  pkg.Fset,
-			Files: pkg.Files,
-			Info:  pkg.Info,
-			Types: pkg.Types,
-		})
-	}
-	x.pts = pointsto.Analyze(units)
-	x.ptsTime = time.Since(ptsStart)
 
 	for _, fi := range x.ordered {
 		b.scanFunc(fi)
@@ -580,7 +526,7 @@ func (b *factBuilder) scanFunc(fi *FuncInfo) {
 	// attributed to the enclosing declaration, same as every other
 	// fact; the owned-locals analysis never claims a literal's own
 	// parameters, so those writes classify conservatively as escaping.
-	ws := newWriteScan(fi, b.index.pts)
+	ws := newWriteScan(fi)
 	write := func(pos token.Pos, what string) {
 		if b.sups.covered(fset.Position(pos), RulePurity) {
 			return
@@ -601,7 +547,6 @@ func (b *factBuilder) scanFunc(fi *FuncInfo) {
 			alloc(n.Pos(), "function literal (closure capture)")
 		case *ast.GoStmt:
 			alloc(n.Pos(), "go statement (new goroutine)")
-			b.seedSpawn(fi, n)
 		case *ast.CompositeLit:
 			switch info.TypeOf(n).Underlying().(type) {
 			case *types.Slice:
@@ -630,7 +575,6 @@ func (b *factBuilder) scanFunc(fi *FuncInfo) {
 // call, module-interface call (CHA), or unknown.
 func (b *factBuilder) scanCall(fi *FuncInfo, call *ast.CallExpr, selfAppends map[*ast.CallExpr]bool, alloc func(token.Pos, string)) {
 	info := fi.Pkg.Info
-	fset := fi.Pkg.Fset
 	fun := ast.Unparen(call.Fun)
 
 	// Conversions: T(x). Interface boxing and string<->slice copies
@@ -661,10 +605,6 @@ func (b *factBuilder) scanCall(fi *FuncInfo, call *ast.CallExpr, selfAppends map
 				alloc(call.Pos(), "make")
 			case "new":
 				alloc(call.Pos(), "new")
-			case "panic":
-				if !b.sups.covered(fset.Position(call.Pos()), RuleNoPanic) {
-					fi.setFact(FactMayPanic, "panic")
-				}
 			}
 		case *types.Func:
 			b.resolveStatic(fi, obj, call.Pos(), alloc)
@@ -692,55 +632,6 @@ func (b *factBuilder) scanCall(fi *FuncInfo, call *ast.CallExpr, selfAppends map
 		// allocation by the FuncLit case.
 	default:
 		b.markUnknown(fi, "indirect call")
-	}
-}
-
-// seedSpawn marks the functions a go statement puts on a new
-// goroutine: the go'd function itself, or — for a go'd function
-// literal — every module function the literal's body calls
-// statically. (Interface calls from a spawned literal stay unmarked:
-// the zero-false-positive bias prefers a missed spawn context over a
-// speculative one.) Transitive callees acquire the fact through the
-// reverse propagation in propagate.
-func (b *factBuilder) seedSpawn(fi *FuncInfo, g *ast.GoStmt) {
-	info := fi.Pkg.Info
-	ls, le, inLoop := pointsto.SpawnLoop(fi.Decl.Body, g.Go)
-	sp := &pointsto.Spawn{
-		Pos:       g.Go,
-		Fn:        fi.DisplayName(),
-		PkgPath:   fi.Pkg.Path,
-		InLoop:    inLoop,
-		LoopStart: ls,
-		LoopEnd:   le,
-	}
-	mark := func(obj types.Object) {
-		fj := b.index.Lookup(obj)
-		if fj == nil {
-			return
-		}
-		if fj.setFact(FactSpawned, "launched by a go statement in "+fi.DisplayName()) {
-			fj.spawn = sp
-		}
-	}
-	switch fun := ast.Unparen(g.Call.Fun).(type) {
-	case *ast.Ident:
-		mark(info.Uses[fun])
-	case *ast.SelectorExpr:
-		mark(info.Uses[fun.Sel])
-	case *ast.FuncLit:
-		ast.Inspect(fun.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			switch f := ast.Unparen(call.Fun).(type) {
-			case *ast.Ident:
-				mark(info.Uses[f])
-			case *ast.SelectorExpr:
-				mark(info.Uses[f.Sel])
-			}
-			return true
-		})
 	}
 }
 
@@ -829,30 +720,10 @@ func (b *factBuilder) propagate() {
 			for _, e := range fi.edges {
 				callee := b.index.funcs[e.callee]
 				for f := Fact(0); f < numFacts; f++ {
-					if f == FactSpawned {
-						continue // flows caller→callee, handled below
-					}
 					if callee.facts.Has(f) && !fi.facts.Has(f) {
 						fi.setFact(f, callee.DisplayName()+" → "+callee.why[f])
 						changed = true
 					}
-				}
-			}
-		}
-	}
-	// Spawn reachability flows the other way: everything a spawned
-	// function calls also runs on that goroutine.
-	for changed := true; changed; {
-		changed = false
-		for _, fi := range b.index.ordered {
-			if !fi.facts.Has(FactSpawned) {
-				continue
-			}
-			for _, e := range fi.edges {
-				callee := b.index.funcs[e.callee]
-				if callee.setFact(FactSpawned, fi.DisplayName()+" → "+fi.why[FactSpawned]) {
-					callee.spawn = fi.spawn
-					changed = true
 				}
 			}
 		}

@@ -11,7 +11,7 @@ import (
 
 // factRules is the engine's waiver vocabulary for direct BuildFacts
 // calls in these tests.
-var factRules = map[string]bool{"determinism": true, "nopanic": true, "hotalloc": true}
+var factRules = map[string]bool{"determinism": true, "hotalloc": true}
 
 // loadFactsUniverse loads the synthetic 3-package module
 // (rules/testdata/facts/{sim,flow,clock}) the way the driver would:
@@ -52,7 +52,7 @@ func lookupFunc(t *testing.T, x *analysis.FactIndex, pkgSuffix, name string) *an
 // TestFactPropagationAcrossPackages is the acceptance-criteria pin: a
 // nondeterministic sink two call hops and one package boundary away
 // must reach the caller, with the why-chain naming every hop. The
-// same fixpoint must propagate mayPanic and allocates, leave pure
+// same fixpoint must propagate allocates, leave pure
 // chains fact-free, and honor //pbcheck:hotpath markers.
 func TestFactPropagationAcrossPackages(t *testing.T) {
 	loader, _ := loadFactsUniverse(t)
@@ -66,8 +66,6 @@ func TestFactPropagationAcrossPackages(t *testing.T) {
 		{"clock", "Clock", analysis.FactNondet, "time.Now"},
 		{"flow", "Helper", analysis.FactNondet, "clock.Clock → time.Now"},
 		{"sim", "Caller", analysis.FactNondet, "flow.Helper → clock.Clock → time.Now"},
-		{"clock", "Boom", analysis.FactMayPanic, "panic"},
-		{"sim", "CallBoom", analysis.FactMayPanic, "flow.MayBoom → clock.Boom → panic"},
 		{"clock", "Alloc", analysis.FactAllocates, "make"},
 		{"sim", "Hot", analysis.FactAllocates, "flow.Allocates → clock.Alloc → make"},
 	}
@@ -139,28 +137,19 @@ func TestFactIndexLookup(t *testing.T) {
 // rule seeds no fact, so transitive callers are not tainted — the
 // reviewed claim cuts the whole chain, not just the one report.
 func TestFactsHonorWaivers(t *testing.T) {
-	loader, err := analysis.NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The repository's own pipeline package: ROB.Push carries a
-	// reasoned nopanic waiver on its guard panic.
-	dir := filepath.Join(loader.Root, "internal", "sim", "pipeline")
-	if _, err := loader.Load([]string{dir}); err != nil {
-		t.Fatal(err)
-	}
+	loader, _ := loadFactsUniverse(t)
 	x := analysis.BuildFacts(loader.Universe(), factRules)
-	fi := lookupFunc(t, x, "pipeline", "Push")
-	if fi.Facts().Has(analysis.FactMayPanic) {
-		t.Errorf("ROB.Push carries mayPanic (%s) despite the reasoned waiver on its guard", fi.Why(analysis.FactMayPanic))
+	fi := lookupFunc(t, x, "clock", "Waived")
+	if fi.Facts().Has(analysis.FactNondet) {
+		t.Errorf("clock.Waived carries nondet (%s) despite the reasoned waiver on its sink", fi.Why(analysis.FactNondet))
 	}
-	if !fi.Hot {
-		t.Error("ROB.Push lost its //pbcheck:hotpath marker")
+	if !lookupFunc(t, x, "clock", "Clock").Facts().Has(analysis.FactNondet) {
+		t.Error("clock.Clock lost its nondet fact; the waiver must cut only its own line")
 	}
 }
 
-// TestEnclosingFunc pins the fingerprint identity resolution that the
-// baseline ratchet depends on.
+// TestEnclosingFunc pins the position-independent identity
+// resolution every diagnostic carries.
 func TestEnclosingFunc(t *testing.T) {
 	_, pkgs := loadFactsUniverse(t)
 	pkg := pkgs[0]

@@ -2,8 +2,8 @@
 // static-analysis suite: an AST-based CFG builder and a generic
 // worklist dataflow solver (dataflow.go). Like the rest of
 // internal/analysis it is stdlib-only — go/ast and go/token, no
-// golang.org/x/tools — so the flow-sensitive rules (lockflow, errflow)
-// run anywhere the Go toolchain runs.
+// golang.org/x/tools — so the flow-sensitive rule (errflow) runs
+// anywhere the Go toolchain runs.
 //
 // The CFG deliberately stays at statement granularity. Each Block
 // holds a sequence of *atomic* nodes — simple statements plus the

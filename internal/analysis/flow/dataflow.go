@@ -9,10 +9,10 @@ package flow
 // Convergence contract: the solver terminates whenever the problem's
 // lattice has finite height (every strictly ascending Join chain is
 // finite) and Transfer is monotone (joining inputs never shrinks
-// outputs). Both current clients — lockflow's hold-depth sets and
-// errflow's unchecked-assignment maps — draw from finite power-set
-// lattices, and dataflow_test.go pins termination and join
-// monotonicity for exactly those state shapes on seeded CFGs.
+// outputs). The client, errflow, draws its unchecked-assignment maps
+// from a finite power-set lattice, and dataflow_test.go pins
+// termination and join monotonicity for power-set state shapes on
+// seeded CFGs.
 
 // A State is one element of a dataflow lattice. Implementations are
 // treated as immutable by the solver: Join must return a fresh (or

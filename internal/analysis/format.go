@@ -27,20 +27,18 @@ func RelPosition(root, filename string) string {
 //
 //	file:line:col: rule: message
 //
-// Suppressed and baselined findings are hidden unless showSuppressed
-// is set, in which case they are annotated with the waiver's reason
-// (or "baselined"). It returns the number of lines written.
+// Suppressed findings are hidden unless showSuppressed is set, in
+// which case they are annotated with the waiver's reason. It returns
+// the number of lines written.
 func WritePlain(w io.Writer, root string, diags []Diagnostic, showSuppressed bool) int {
 	n := 0
 	for _, d := range diags {
-		if (d.Suppressed || d.Baselined) && !showSuppressed {
+		if d.Suppressed && !showSuppressed {
 			continue
 		}
 		suffix := ""
 		if d.Suppressed {
 			suffix = fmt.Sprintf(" (suppressed: %s)", d.Reason)
-		} else if d.Baselined {
-			suffix = " (baselined)"
 		}
 		fmt.Fprintf(w, "%s:%d:%d: %s: %s%s\n",
 			RelPosition(root, d.Position.Filename), d.Position.Line, d.Position.Column,
@@ -61,7 +59,6 @@ type jsonDiagnostic struct {
 	Message    string `json:"message"`
 	Suppressed bool   `json:"suppressed,omitempty"`
 	Reason     string `json:"reason,omitempty"`
-	Baselined  bool   `json:"baselined,omitempty"`
 }
 
 // millis converts a duration to fractional milliseconds, the unit
@@ -71,7 +68,7 @@ func millis(d time.Duration) float64 {
 }
 
 // WriteStats renders the -stats table in plain text: fact-build time
-// (with the points-to solve broken out) first, then each rule's
+// first, then each rule's
 // summed per-package wall time and finding count in suite order
 // (timing is nondeterministic; everything else on the row is not),
 // then the phase-2 parallelism summary: real elapsed time under N
@@ -80,7 +77,7 @@ func WriteStats(w io.Writer, stats *RunStats) {
 	if stats == nil {
 		return
 	}
-	fmt.Fprintf(w, "fact build: %.1fms (points-to %.1fms)\n", millis(stats.FactBuild), millis(stats.PointsTo))
+	fmt.Fprintf(w, "fact build: %.1fms\n", millis(stats.FactBuild))
 	for _, rs := range stats.Rules {
 		fmt.Fprintf(w, "%-12s %8.1fms  %d finding(s)\n", rs.Rule, millis(rs.Time), rs.Findings)
 	}
@@ -94,7 +91,7 @@ func WriteStatsMarkdown(w io.Writer, stats *RunStats) {
 		return
 	}
 	fmt.Fprintf(w, "\n### pbcheck timing\n\n")
-	fmt.Fprintf(w, "fact build: %.1fms (points-to %.1fms)\n\n", millis(stats.FactBuild), millis(stats.PointsTo))
+	fmt.Fprintf(w, "fact build: %.1fms\n\n", millis(stats.FactBuild))
 	fmt.Fprintf(w, "| Rule | Time | Findings |\n|---|---:|---:|\n")
 	for _, rs := range stats.Rules {
 		fmt.Fprintf(w, "| %s | %.1fms | %d |\n", rs.Rule, millis(rs.Time), rs.Findings)
@@ -113,7 +110,6 @@ type jsonRuleStat struct {
 // jsonStats is the optional "stats" member of the -json document.
 type jsonStats struct {
 	FactBuildMillis float64        `json:"fact_build_ms"`
-	PointsToMillis  float64        `json:"points_to_ms"`
 	Rules           []jsonRuleStat `json:"rules"`
 	RuleWallMillis  float64        `json:"rule_wall_ms"`
 	RuleSeqMillis   float64        `json:"rule_sequential_ms"`
@@ -126,13 +122,12 @@ type jsonStats struct {
 type jsonReport struct {
 	Findings   int              `json:"findings"`
 	Suppressed int              `json:"suppressed"`
-	Baselined  int              `json:"baselined"`
 	Diags      []jsonDiagnostic `json:"diagnostics"`
 	Stats      *jsonStats       `json:"stats,omitempty"`
 }
 
-// WriteJSON emits every diagnostic — suppressed and baselined ones
-// included and marked, so the CI artifact records the full waiver
+// WriteJSON emits every diagnostic — suppressed ones included and
+// marked, so the CI artifact records the full waiver
 // ledger — as one indented JSON document. A non-nil stats adds the
 // per-rule timing block.
 func WriteJSON(w io.Writer, root string, diags []Diagnostic, stats *RunStats) error {
@@ -140,7 +135,6 @@ func WriteJSON(w io.Writer, root string, diags []Diagnostic, stats *RunStats) er
 	if stats != nil {
 		js := &jsonStats{
 			FactBuildMillis: millis(stats.FactBuild),
-			PointsToMillis:  millis(stats.PointsTo),
 			RuleWallMillis:  millis(stats.RuleWall),
 			RuleSeqMillis:   millis(stats.RuleSeq),
 			Workers:         stats.Workers,
@@ -155,12 +149,9 @@ func WriteJSON(w io.Writer, root string, diags []Diagnostic, stats *RunStats) er
 		report.Stats = js
 	}
 	for _, d := range diags {
-		switch {
-		case d.Suppressed:
+		if d.Suppressed {
 			report.Suppressed++
-		case d.Baselined:
-			report.Baselined++
-		default:
+		} else {
 			report.Findings++
 		}
 		report.Diags = append(report.Diags, jsonDiagnostic{
@@ -173,7 +164,6 @@ func WriteJSON(w io.Writer, root string, diags []Diagnostic, stats *RunStats) er
 			Message:    d.Message,
 			Suppressed: d.Suppressed,
 			Reason:     d.Reason,
-			Baselined:  d.Baselined,
 		})
 	}
 	enc := json.NewEncoder(w)
@@ -182,11 +172,11 @@ func WriteJSON(w io.Writer, root string, diags []Diagnostic, stats *RunStats) er
 }
 
 // WriteMarkdown renders the CI step-summary view: a per-rule count
-// table (active / baselined / waived), the list of active findings,
+// table (active / waived), the list of active findings,
 // and the waiver ledger with reasons. Deterministic: rows follow the
 // already-sorted diagnostic order, rules sort lexically.
 func WriteMarkdown(w io.Writer, root string, diags []Diagnostic) {
-	type counts struct{ active, baselined, waived int }
+	type counts struct{ active, waived int }
 	byRule := make(map[string]*counts)
 	var rules []string
 	for _, d := range diags {
@@ -196,33 +186,29 @@ func WriteMarkdown(w io.Writer, root string, diags []Diagnostic) {
 			byRule[d.Rule] = c
 			rules = append(rules, d.Rule)
 		}
-		switch {
-		case d.Suppressed:
+		if d.Suppressed {
 			c.waived++
-		case d.Baselined:
-			c.baselined++
-		default:
+		} else {
 			c.active++
 		}
 	}
 	sort.Strings(rules)
 
 	fmt.Fprintf(w, "### pbcheck findings\n\n")
-	fmt.Fprintf(w, "| Rule | Active | Baselined | Waived |\n|---|---:|---:|---:|\n")
+	fmt.Fprintf(w, "| Rule | Active | Waived |\n|---|---:|---:|\n")
 	var total counts
 	for _, rule := range rules {
 		c := byRule[rule]
-		fmt.Fprintf(w, "| %s | %d | %d | %d |\n", rule, c.active, c.baselined, c.waived)
+		fmt.Fprintf(w, "| %s | %d | %d |\n", rule, c.active, c.waived)
 		total.active += c.active
-		total.baselined += c.baselined
 		total.waived += c.waived
 	}
-	fmt.Fprintf(w, "| **total** | **%d** | **%d** | **%d** |\n", total.active, total.baselined, total.waived)
+	fmt.Fprintf(w, "| **total** | **%d** | **%d** |\n", total.active, total.waived)
 
 	if total.active > 0 {
-		fmt.Fprintf(w, "\n#### New findings (not in baseline)\n\n")
+		fmt.Fprintf(w, "\n#### Active findings\n\n")
 		for _, d := range diags {
-			if d.Suppressed || d.Baselined {
+			if d.Suppressed {
 				continue
 			}
 			fmt.Fprintf(w, "- `%s:%d` **%s**: %s\n",

@@ -134,8 +134,8 @@ func applySuppressions(diags []Diagnostic, sups []suppression) []bool {
 
 // staleWaivers flags every suppression that did nothing: it suppressed
 // no diagnostic this run AND cut no fact during seeding, while every
-// rule it names was selected (so the absence of findings is evidence,
-// not a consequence of a -rules subset). A waiver that has gone stale
+// rule it names is known (an unknown rule is already its own finding).
+// A waiver that has gone stale
 // is a claim nobody is checking anymore — left in place it would
 // silently swallow the next real finding on its line.
 func staleWaivers(facts *FactIndex, sups []suppression, fired []bool, known map[string]bool) []Diagnostic {

@@ -20,7 +20,7 @@ func TestDeterministicOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dirs []string
-	for _, d := range []string{"locksafe", "leakygo"} {
+	for _, d := range []string{"errflow", "leakygo"} {
 		abs, err := filepath.Abs(filepath.Join("rules", "testdata", d))
 		if err != nil {
 			t.Fatal(err)
@@ -71,7 +71,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dirs []string
-	for _, d := range []string{"locksafe", "leakygo", "racecheck", "chansafe", "errflow"} {
+	for _, d := range []string{"leakygo", "errflow", "ctxflow"} {
 		abs, err := filepath.Abs(filepath.Join("rules", "testdata", d))
 		if err != nil {
 			t.Fatal(err)

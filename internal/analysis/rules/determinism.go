@@ -42,7 +42,7 @@ var randConstructors = map[string]bool{
 // reads, the globally seeded math/rand source, environment variables,
 // and map iteration feeding order-dependent output.
 var Determinism = &analysis.Analyzer{
-	Name: "determinism",
+	Name: analysis.RuleDeterminism,
 	Doc:  "forbid wall-clock, global math/rand, env reads, and map-order-dependent output in the deterministic packages (pb, stats, sim, trace, cluster, tables)",
 	Run:  runDeterminism,
 }

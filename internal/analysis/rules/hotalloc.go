@@ -21,7 +21,7 @@ import (
 // foreign interfaces, non-whitelisted foreign packages) is also a
 // finding: a 0-alloc claim that cannot be proved is not a claim.
 var HotAlloc = &analysis.Analyzer{
-	Name: "hotalloc",
+	Name: analysis.RuleHotAlloc,
 	Doc:  "functions marked //pbcheck:hotpath must be transitively free of steady-state heap allocations (static twin of the AllocsPerRun benchmark pins)",
 	Run:  runHotAlloc,
 }

@@ -29,7 +29,7 @@ import (
 //     so the claim cannot be proved. A purity claim that cannot be
 //     proved is not a claim — same bias as hotalloc.
 var Purity = &analysis.Analyzer{
-	Name: "purity",
+	Name: analysis.RulePurity,
 	Doc:  "functions marked //pbcheck:pure must be provably side-effect-free and deterministic, transitively through every call (static twin of the ground-truth evaluation contract)",
 	Run:  runPurity,
 }

@@ -41,3 +41,12 @@ func Spawn(ctx context.Context) func() error {
 }
 
 func work(ctx context.Context) error { return ctx.Err() }
+
+// FreshInLiteral mints a fresh context inside a function literal that
+// receives one: the unused parameter and the Background call are both
+// flagged.
+func FreshInLiteral(task func(context.Context) error) func(context.Context) error {
+	return func(ctx context.Context) error {
+		return task(context.Background())
+	}
+}

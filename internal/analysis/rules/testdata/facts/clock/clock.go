@@ -11,9 +11,10 @@ func Clock() int64 {
 	return time.Now().UnixNano()
 }
 
-// Boom panics: the mayPanic sink for the same propagation chain.
-func Boom() {
-	panic("clock: boom")
+// Waived reads the wall clock under a reasoned waiver, so it seeds
+// no fact.
+func Waived() int64 {
+	return time.Now().UnixNano() //pbcheck:ignore determinism seeded-waiver fixture: the waiver must cut the fact
 }
 
 // Alloc allocates: the allocates sink.

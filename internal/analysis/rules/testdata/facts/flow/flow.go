@@ -10,11 +10,6 @@ func Helper() int64 {
 	return clock.Clock()
 }
 
-// MayBoom reaches a panic through clock.Boom.
-func MayBoom() {
-	clock.Boom()
-}
-
 // Allocates reaches an allocation through clock.Alloc.
 func Allocates() []int {
 	return clock.Alloc(8)

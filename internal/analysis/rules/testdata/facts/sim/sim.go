@@ -14,11 +14,6 @@ func Caller() int64 {
 	return flow.Helper()
 }
 
-// CallBoom reaches a panic the same way.
-func CallBoom() {
-	flow.MayBoom()
-}
-
 // Hot is a hot path whose allocation lives two packages down.
 //
 //pbcheck:hotpath

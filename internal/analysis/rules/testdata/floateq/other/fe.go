@@ -30,3 +30,13 @@ type Celsius float64
 
 // SameTemp compares a named float type: flagged.
 func SameTemp(a, b Celsius) bool { return a == b }
+
+// ByMagnitude is a sort comparator with an exact float tie test:
+// flagged. With NaN effects the != holds for equal (NaN) keys, so the
+// comparator stops being a strict weak order.
+func ByMagnitude(ea, eb float64, ia, ib int) bool {
+	if ea != eb {
+		return ea > eb
+	}
+	return ia < ib
+}

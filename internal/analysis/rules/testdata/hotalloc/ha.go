@@ -46,6 +46,19 @@ func growing(src, extra []int) []int {
 	return merged
 }
 
+// capped re-slices to full capacity before appending, so every
+// append copies into a fresh backing array: the left side names the
+// slice, but the appended-to operand is not it, so it is not the
+// self-append idiom.
+//
+//pbcheck:hotpath
+func capped(dst []int, n int) []int {
+	for i := 0; i < n; i++ {
+		dst = append(dst[:len(dst):len(dst)], i)
+	}
+	return dst
+}
+
 // selfAppendOK reuses capacity via the sanctioned idiom and must stay
 // silent even inside a loop.
 //

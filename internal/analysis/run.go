@@ -10,8 +10,8 @@ import (
 
 // A RuleStat is one analyzer's cost/yield summary for a run: total
 // wall time across all analyzed packages and how many diagnostics it
-// produced (suppressed and baselined ones included — the cost of a
-// rule is the cost of everything it finds, waived or not).
+// produced (suppressed ones included — the cost of a rule is the cost
+// of everything it finds, waived or not).
 type RuleStat struct {
 	Rule     string
 	Time     time.Duration
@@ -19,19 +19,22 @@ type RuleStat struct {
 }
 
 // RunStats is the -stats payload: where a pbcheck run spent its time.
-// FactBuild covers phase 1 (call graph + fixpoint over the universe),
-// of which PointsTo is the Andersen solve; Rules lists every analyzer
-// in suite order. RuleWall is the real elapsed time of phase 2 under
-// Workers concurrent package workers, RuleSeq the sum of every
-// per-package analyzer slice — what the same run would have cost
-// sequentially. RuleSeq/RuleWall is the measured speedup.
+// FactBuild covers phase 1 (call graph + fixpoint over the universe);
+// Rules lists every analyzer in suite order. RuleWall is the real
+// elapsed time of phase 2 under Workers concurrent package workers,
+// RuleSeq the sum of every per-package analyzer slice — what the same
+// run would have cost sequentially. RuleSeq/RuleWall is the measured
+// speedup.
 type RunStats struct {
 	FactBuild time.Duration
-	PointsTo  time.Duration
-	Rules     []RuleStat
-	RuleWall  time.Duration
-	RuleSeq   time.Duration
-	Workers   int
+	// PointsTo is always zero. It timed the points-to solve inside
+	// FactBuild, which went with the only rule that read it; the field
+	// stays so callers that report it keep compiling.
+	PointsTo time.Duration
+	Rules    []RuleStat
+	RuleWall time.Duration
+	RuleSeq  time.Duration
+	Workers  int
 }
 
 // DefaultWorkers is the phase-2 parallelism the drivers use when the
@@ -48,14 +51,6 @@ func DefaultWorkers() int {
 	return n
 }
 
-// Run executes every analyzer over every package with a fact universe
-// limited to the packages themselves. Callers holding a Loader should
-// prefer RunUniverse(pkgs, loader.Universe(), analyzers) so the fact
-// engine sees dependency bodies too.
-func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunUniverse(pkgs, nil, analyzers)
-}
-
 // RunUniverse is the two-phase driver. Phase 1 builds the
 // interprocedural fact index over the union of pkgs and universe
 // (universe normally comes from Loader.Universe() and includes every
@@ -70,15 +65,8 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // does not compile are unreliable, and the repo's tier-1 gate
 // guarantees compilable input anyway.
 func RunUniverse(pkgs, universe []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := RunUniverseTimed(pkgs, universe, analyzers)
+	diags, _, err := RunUniverseTimedWorkers(pkgs, universe, analyzers, DefaultWorkers())
 	return diags, err
-}
-
-// RunUniverseTimed is RunUniverse plus per-phase timing, at the
-// default phase-2 parallelism. The diagnostics are byte-identical to
-// RunUniverse's — timing observes the run, it never alters it.
-func RunUniverseTimed(pkgs, universe []*Package, analyzers []*Analyzer) ([]Diagnostic, *RunStats, error) {
-	return RunUniverseTimedWorkers(pkgs, universe, analyzers, DefaultWorkers())
 }
 
 // pkgResult is one package's phase-2 output: its diagnostics (in
@@ -92,7 +80,7 @@ type pkgResult struct {
 
 // analyzePackage runs the full analyzer suite over one package. It
 // touches only its own pkgResult plus read-only shared state (the
-// fact index and points-to result are frozen after phase 1), so any
+// fact index is frozen after phase 1), so any
 // number of packages can run concurrently.
 func analyzePackage(pkg *Package, facts *FactIndex, analyzers []*Analyzer, known map[string]bool) pkgResult {
 	res := pkgResult{
@@ -114,8 +102,8 @@ func analyzePackage(pkg *Package, facts *FactIndex, analyzers []*Analyzer, known
 	return res
 }
 
-// RunUniverseTimedWorkers is the fully parameterized driver: phase 2
-// fans packages out over a bounded pool of `workers` goroutines.
+// RunUniverseTimedWorkers is RunUniverse plus per-phase timing: phase
+// 2 fans packages out over a bounded pool of `workers` goroutines.
 // Each package's analysis writes only its own result slot, results
 // are merged in input-package order, and the final sort is position
 // based — the diagnostics are byte-identical at every worker count,
@@ -136,10 +124,10 @@ func RunUniverseTimedWorkers(pkgs, universe []*Package, analyzers []*Analyzer, w
 
 	// Phase 1: call graph + fact fixpoint over the whole universe.
 	// Waiver rules are always in the fact engine's vocabulary even
-	// when the corresponding analyzer was deselected, so a reasoned
-	// waiver keeps cutting fact generation under -rules subsets.
+	// when the corresponding analyzer is not in this run, so a
+	// reasoned waiver keeps cutting fact generation for any subset.
 	factKnown := map[string]bool{
-		RuleDeterminism: true, RuleNoPanic: true, RuleHotAlloc: true, RulePurity: true,
+		RuleDeterminism: true, RuleHotAlloc: true, RulePurity: true,
 	}
 	for name := range known {
 		factKnown[name] = true
@@ -155,10 +143,7 @@ func RunUniverseTimedWorkers(pkgs, universe []*Package, analyzers []*Analyzer, w
 	}
 	factStart := time.Now()
 	facts := BuildFacts(all, factKnown)
-	stats := &RunStats{
-		FactBuild: time.Since(factStart),
-		PointsTo:  facts.PointsToTime(),
-	}
+	stats := &RunStats{FactBuild: time.Since(factStart)}
 	for _, pkg := range pkgs {
 		facts.analyzed[pkg.Path] = true
 	}
@@ -188,7 +173,6 @@ func RunUniverseTimedWorkers(pkgs, universe []*Package, analyzers []*Analyzer, w
 			go func() {
 				defer wg.Done()
 				for i := range idx {
-					//pbcheck:ignore racecheck the index channel deals each slot i to exactly one worker, and wg.Wait orders every write before the merge reads
 					results[i] = analyzePackage(pkgs[i], facts, analyzers, known)
 				}
 			}()
@@ -225,12 +209,12 @@ func RunUniverseTimedWorkers(pkgs, universe []*Package, analyzers []*Analyzer, w
 	return diags, stats, nil
 }
 
-// Active counts the diagnostics that are neither suppressed nor
-// baselined — the number that should drive a non-zero exit code.
+// Active counts the diagnostics that are not suppressed — the number
+// that should drive a non-zero exit code.
 func Active(diags []Diagnostic) int {
 	n := 0
 	for _, d := range diags {
-		if !d.Suppressed && !d.Baselined {
+		if !d.Suppressed {
 			n++
 		}
 	}

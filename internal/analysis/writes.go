@@ -29,8 +29,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"pbsim/internal/analysis/pointsto"
 )
 
 // writeScan is the per-function context for write-effect seeding.
@@ -39,22 +37,14 @@ type writeScan struct {
 	owned  map[*types.Var]bool
 	params map[*types.Var]bool // parameters + receiver + named results
 	recv   *types.Var          // the receiver, when the function is a method
-	// pts upgrades the syntactic ownership proof: a variable whose
-	// every points-to target is a non-escaping fresh allocation is
-	// owned even when the syntactic whitelist cannot see it (fresh
-	// memory returned by a callee, aliases of owned allocations).
-	pts   *pointsto.Result
-	fnObj *types.Func
 }
 
 // newWriteScan precomputes the owned-locals and parameter sets for one
 // function declaration.
-func newWriteScan(fi *FuncInfo, pts *pointsto.Result) *writeScan {
+func newWriteScan(fi *FuncInfo) *writeScan {
 	ws := &writeScan{
 		info:   fi.Pkg.Info,
 		params: make(map[*types.Var]bool),
-		pts:    pts,
-		fnObj:  fi.Obj,
 	}
 	addFields := func(fl *ast.FieldList) {
 		if fl == nil {
@@ -312,9 +302,6 @@ func (ws *writeScan) classifyBase(id *ast.Ident, indirect bool) (string, bool) {
 	}
 	if ws.owned[v] {
 		return "", false // memory this function allocated itself
-	}
-	if ws.pts != nil && ws.pts.Owned(v, ws.fnObj, ws.params) {
-		return "", false // points-to proof: every target is frame-private
 	}
 	if v == ws.recv {
 		return "writes through receiver " + v.Name(), true

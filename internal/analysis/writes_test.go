@@ -22,7 +22,7 @@ func loadWritesPkg(t *testing.T) *analysis.FactIndex {
 		t.Fatal(err)
 	}
 	known := map[string]bool{
-		"determinism": true, "nopanic": true, "hotalloc": true, "purity": true,
+		"determinism": true, "hotalloc": true, "purity": true,
 	}
 	return analysis.BuildFacts(loader.Universe(), known)
 }

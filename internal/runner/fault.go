@@ -69,7 +69,6 @@ func (f *Faults) Wrap(task Task) Task {
 	return func(ctx context.Context, row int) (float64, error) {
 		attempt := f.nextAttempt(row)
 		if attempt < f.PanicRows[row] {
-			//pbcheck:ignore nopanic deliberately injected panic: this is the fault injector exercising the runner's recovery path
 			panic(fmt.Sprintf("%v: row %d attempt %d", ErrInjected, row, attempt))
 		}
 		if attempt < f.FailRows[row] {

@@ -227,7 +227,6 @@ func Evaluate(ctx context.Context, n int, task Task, cfg Config) ([]float64, err
 				}
 				if cfg.Checkpoint != nil {
 					if v, ok := cfg.Checkpoint.Lookup(cfg.Scope, i); ok {
-						//pbcheck:ignore racecheck each row index i is claimed by exactly one worker via the atomic counter, so writes to responses land on disjoint elements
 						responses[i] = v
 						rec.RowFinished(cfg.Scope, i, v, 0, 0, true)
 						rec.WorkerActive(-1)
@@ -248,7 +247,6 @@ func Evaluate(ctx context.Context, n int, task Task, cfg Config) ([]float64, err
 					mu.Unlock()
 					continue
 				}
-				//pbcheck:ignore racecheck each row index i is claimed by exactly one worker via the atomic counter, so writes to responses land on disjoint elements
 				responses[i] = v
 				if cfg.Checkpoint != nil {
 					if cerr := cfg.Checkpoint.Record(cfg.Scope, i, v); cerr != nil {

@@ -9,9 +9,11 @@ import (
 )
 
 // z95 is the two-sided 95% normal quantile used for all confidence
-// intervals in this package (the sampled region counts are large
-// enough that the normal approximation is the standard choice — the
-// same one the paper's CI machinery uses).
+// intervals in this package. The normal approximation does not hold
+// here: a row draws only 2–4 regions, and the "95%" intervals of the
+// pb-sampled workload cover about 74% of the time. A Student-t
+// quantile alone is not the fix; ROADMAP item 3 tracks a coverage
+// gate and the estimator work.
 const z95 = 1.96
 
 // Plan is one estimator's selection decision for one stream: which

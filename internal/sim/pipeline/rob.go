@@ -63,7 +63,7 @@ func (r *ROB) Empty() bool { return r.count == 0 }
 //pbcheck:hotpath
 func (r *ROB) Push() *Entry {
 	if r.Full() {
-		panic("pipeline: Push on full ROB") //pbcheck:ignore nopanic guards a programmer error (caller must check Full); never reachable from row data
+		panic("pipeline: Push on full ROB")
 	}
 	// head+count < 2*len always holds, so a conditional wrap replaces
 	// the modulo in this per-dispatch path.
@@ -93,7 +93,7 @@ func (r *ROB) Head() *Entry {
 //pbcheck:hotpath
 func (r *ROB) PopHead() {
 	if r.count == 0 {
-		panic("pipeline: PopHead on empty ROB") //pbcheck:ignore nopanic guards a programmer error (caller must check Empty); never reachable from row data
+		panic("pipeline: PopHead on empty ROB")
 	}
 	r.head++
 	if r.head == len(r.entries) {
@@ -107,7 +107,6 @@ func (r *ROB) PopHead() {
 // its panic, which allocates.
 func (r *ROB) At(i int) *Entry {
 	if i < 0 || i >= r.count {
-		//pbcheck:ignore nopanic index invariant guards a programmer error, like a slice bounds check; never reachable from row data
 		panic(fmt.Sprintf("pipeline: ROB index %d out of range [0,%d)", i, r.count))
 	}
 	idx := r.head + i
@@ -158,7 +157,7 @@ func (q *LSQ) Alloc() bool {
 //pbcheck:hotpath
 func (q *LSQ) Release() {
 	if q.used == 0 {
-		panic("pipeline: Release on empty LSQ") //pbcheck:ignore nopanic guards a programmer error (release without matching allocate); never reachable from row data
+		panic("pipeline: Release on empty LSQ")
 	}
 	q.used--
 }
